@@ -14,7 +14,9 @@ from .betti import (
 from .classify import (
     ClassificationReport,
     ConsistencyResult,
+    GraphAnalysis,
     SweepReport,
+    analyze_graph,
     classify_graph,
     gorenstein_census,
     sweep,

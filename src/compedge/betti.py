@@ -18,15 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .complexes import stanley_reisner_complex
+from .complexes import maximal_supports, stanley_reisner_complex
 from .homology import FieldSpec, homology_dims_of_facets
-from .ideals import (
-    SqfIdeal,
-    ZeroIdealError,
-    alexander_dual,
-    degree_component,
-    minimal_primes,
-)
+from .ideals import SqfIdeal, ZeroIdealError, alexander_dual, degree_component
 
 
 @dataclass
@@ -94,21 +88,12 @@ def hochster_betti(I: SqfIdeal, field: FieldSpec) -> BettiTable:
         if contained:
             continue
         wsize = W.bit_count()
-        for k, h in homology_dims_of_facets(_maximal(restricted), char):
+        for k, h in homology_dims_of_facets(maximal_supports(restricted), char):
             i = wsize - 2 - k
             if i >= 0:
                 key = (i, wsize)
                 entries[key] = entries.get(key, 0) + h
     return BettiTable(I.n, field, entries)
-
-
-def _maximal(masks: list[int]) -> tuple[int, ...]:
-    distinct = sorted(set(masks), key=lambda m: -m.bit_count())
-    kept: list[int] = []
-    for m in distinct:
-        if not any(m & ~k == 0 for k in kept):
-            kept.append(m)
-    return tuple(kept)
 
 
 def multigraded_koszul_betti(I: SqfIdeal, field: FieldSpec) -> dict[tuple[int, int], int]:
@@ -202,11 +187,17 @@ def is_componentwise_linear(I: SqfIdeal, field: FieldSpec) -> bool:
     return True
 
 
+def is_gorenstein(table: BettiTable, height: int) -> bool:
+    """Cohen-Macaulay (pd(I) + 1 equal to the height) with total rank one
+    at the last resolution step."""
+    return table.pd + 1 == height and table.total(table.pd) == 1
+
+
 def ring_properties(
     I: SqfIdeal,
     field: FieldSpec,
     table: BettiTable | None = None,
-    primes: list[int] | None = None,
+    dual: SqfIdeal | None = None,
 ) -> PropertyReport:
     """Resolution shape and ring-theoretic classifications of S/I.
 
@@ -219,8 +210,8 @@ def ring_properties(
         raise ZeroIdealError("ring properties of the zero ideal are undefined")
     if table is None:
         table = hochster_betti(I, field)
-    if primes is None:
-        primes = minimal_primes(I)
+    if dual is None:
+        dual = alexander_dual(I)
     pd = table.pd
     reg = table.reg
     d = min(I.degrees())
@@ -229,15 +220,12 @@ def ring_properties(
     for i, j in table.entries:
         shifts_per_step.setdefault(i, set()).add(j)
     pure = all(len(js) == 1 for js in shifts_per_step.values())
-    heights = {p.bit_count() for p in primes}
+    # the dual's generators are the minimal primes
+    heights = dual.degrees()
     unmixed = len(heights) == 1
     ht = min(heights)
     cm = pd + 1 == ht
-    last_total = table.total(pd)
-    gorenstein = cm and last_total == 1
     level = cm and len(shifts_per_step[pd]) == 1
-    # the dual's generators are exactly the minimal primes already in hand
-    dual = SqfIdeal.from_supports(I.n, primes)
     cw_dual = is_componentwise_linear(dual, field)
     return PropertyReport(
         pd=pd,
@@ -246,7 +234,7 @@ def ring_properties(
         pure_resolution=pure,
         unmixed=unmixed,
         cohen_macaulay=cm,
-        gorenstein=gorenstein,
+        gorenstein=is_gorenstein(table, ht),
         level=level,
         componentwise_linear_dual=cw_dual,
     )

@@ -1,10 +1,11 @@
 """Graph classification predictions, per-graph verification, and sweeps.
 
 ``classify_graph`` predicts every algebraic property from graph structure
-alone; ``verify_graph`` computes the same properties from scratch through
-the ideal, complex, homology and Betti layers and reports each claim as
-match or mismatch.  ``sweep`` runs the verification over every labeled
-graph without isolated vertices in a vertex range.
+alone; ``analyze_graph`` computes the same properties from scratch through
+the ideal, complex, homology and Betti layers, keeping every object it
+built, and reports each claim as match or mismatch (``verify_graph``
+returns just the claims).  ``sweep`` runs the verification over every
+labeled graph without isolated vertices in a vertex range.
 
 Two prediction modes exist for the projective dimension and regularity
 pair.  The literal reading places complete graphs at (1, n-2); the
@@ -16,13 +17,21 @@ mode is kept so the discrepancy stays visible.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from itertools import combinations
 
 from . import graphs as g
 from . import ideals as idl
-from .betti import BettiTable, betti_positions_check, hochster_betti, ring_properties
+from .betti import (
+    BettiTable,
+    PropertyReport,
+    betti_positions_check,
+    hochster_betti,
+    is_gorenstein,
+    ring_properties,
+)
 from .complexes import gamma_complex, stanley_reisner_ideal
 from .graphs import Graph, emit_graph, iter_bits, vertices_of
 from .homology import GF2, GF3, QQ, FieldSpec
@@ -72,6 +81,8 @@ def classify_graph(G: Graph, mode: str = MODE_CORRECTED) -> ClassificationReport
     complete = g.is_complete(G)
     forest = g.is_forest(G)
     tree = connected and forest
+    chordal = g.is_chordal(G)
+    triangle_free = g.is_triangle_free(G)
     duoe = g.is_disjoint_union_of_edges(G)
     if tree or (complete and mode == MODE_PAPER_LITERAL):
         pd, reg = 1, n - 2
@@ -90,13 +101,13 @@ def classify_graph(G: Graph, mode: str = MODE_CORRECTED) -> ClassificationReport
         complete=complete,
         forest=forest,
         tree=tree,
-        chordal=g.is_chordal(G),
-        triangle_free=g.is_triangle_free(G),
+        chordal=chordal,
+        triangle_free=triangle_free,
         disjoint_union_of_edges=duoe,
         component_count=len(comps),
         has_cycle=not forest,
-        unmixed=complete or g.is_triangle_free(G),
-        sequentially_cm=g.is_chordal(G),
+        unmixed=complete or triangle_free,
+        sequentially_cm=chordal,
         cohen_macaulay=complete or forest,
         gorenstein=duoe and len(comps) == 2,
         linear_resolution=connected,
@@ -138,41 +149,28 @@ class ConsistencyResult:
         }
 
 
-def _nonedge_masks(G: Graph) -> list[int]:
-    out = []
-    for i in range(G.n):
-        for j in range(i + 1, G.n):
-            if not G.adj[i] >> j & 1:
-                out.append(1 << i | 1 << j)
-    return out
-
-
 def _expected_dual_supports(G: Graph) -> list[int]:
-    return sorted(_nonedge_masks(G) + g.triangles(G), key=idl.support_sort_key)
+    return sorted(g.nonedge_masks(G) + g.triangles(G), key=idl.support_sort_key)
 
 
 def _lcm_graph_matches_line_graph(G: Graph, I: idl.SqfIdeal) -> bool:
-    LG = idl.lcm_graph(I)
+    adj = idl.lcm_graph(I)
     full = G.full_mask
     edge_of = [full ^ s for s in I.support_masks()]
     m = len(edge_of)
     for a in range(m):
         for b in range(a + 1, m):
             expected = bool(edge_of[a] & edge_of[b])
-            if bool(LG.adj[a] >> b & 1) != expected:
+            if bool(adj[a] >> b & 1) != expected:
                 return False
     return True
 
 
 def _linear_quotients_exist(G: Graph, I: idl.SqfIdeal, connected: bool) -> bool:
+    # the constructive order exists only for connected graphs
     if connected:
         cert = idl.linear_quotient_order(G)
         return cert.is_valid_for(I) and idl.is_linear_quotient_order(I, cert.order)
-    try:
-        idl.linear_quotient_order(G)
-        return True
-    except idl.NoOrderExistsError:
-        pass
     if len(I.gens) <= EXHAUSTIVE_ORDER_SEARCH_LIMIT:
         return idl.has_linear_quotient_order(I)
     return False
@@ -195,17 +193,32 @@ def _forest_betti_shape(table: BettiTable, n: int, c: int, duoe: bool) -> tuple[
     return predicted, computed
 
 
-def verify_graph(
+@dataclass
+class GraphAnalysis:
+    """Every object computed for one graph, each built exactly once."""
+
+    graph: Graph
+    ideal: idl.SqfIdeal
+    primes: list[int]
+    dual: idl.SqfIdeal
+    table: BettiTable
+    properties: PropertyReport
+    classification: ClassificationReport
+    consistency: ConsistencyResult
+
+
+def analyze_graph(
     G: Graph,
     field: FieldSpec = GF2,
     mode: str = MODE_CORRECTED,
-) -> ConsistencyResult:
+) -> GraphAnalysis:
     """Compute everything honestly and compare with the predictions."""
     cls = classify_graph(G, mode)
     I = idl.complementary_edge_ideal(G)
     primes = idl.minimal_primes(I)
+    dual = idl.SqfIdeal.from_supports(G.n, primes)
     table = hochster_betti(I, field)
-    props = ring_properties(I, field, table=table, primes=primes)
+    props = ring_properties(I, field, table=table, dual=dual)
     n = G.n
 
     claims: dict[str, dict] = {}
@@ -222,7 +235,6 @@ def verify_graph(
     add("height", 3 if cls.complete else 2, min(p.bit_count() for p in primes))
     add("unmixed", cls.unmixed, props.unmixed)
 
-    dual = idl.alexander_dual(I)
     add(
         "alexander_dual",
         _masks_json(expected_primes),
@@ -268,12 +280,22 @@ def verify_graph(
     )
     add("pd_reg", [cls.pd, cls.reg], [table.pd, table.reg])
 
-    return ConsistencyResult(
+    consistency = ConsistencyResult(
         graph6=emit_graph(G),
         field=field.label,
         mode=mode,
         claims=claims,
     )
+    return GraphAnalysis(G, I, primes, dual, table, props, cls, consistency)
+
+
+def verify_graph(
+    G: Graph,
+    field: FieldSpec = GF2,
+    mode: str = MODE_CORRECTED,
+) -> ConsistencyResult:
+    """The claim-by-claim comparison of :func:`analyze_graph`."""
+    return analyze_graph(G, field, mode).consistency
 
 
 def edge_pairs(n: int) -> list[tuple[int, int]]:
@@ -359,15 +381,19 @@ def _verify_into(acc_tallies, acc_mismatches, result: ConsistencyResult) -> None
             )
 
 
-def _cross_field_check(G: Graph, I: idl.SqfIdeal) -> list[dict]:
-    tables = {f.label: hochster_betti(I, f) for f in _CROSS_FIELDS}
+def _cross_field_check(record: GraphAnalysis) -> list[dict]:
+    own = record.table
+    tables = {
+        f.label: own if f == own.field else hochster_betti(record.ideal, f)
+        for f in _CROSS_FIELDS
+    }
     base = tables[GF2.label]
     out = []
     for label, table in tables.items():
         if table.entries != base.entries:
             out.append(
                 {
-                    "graph6": emit_graph(G),
+                    "graph6": record.consistency.graph6,
                     "fields": [GF2.label, label],
                     "tables": [base.to_json_dict(), table.to_json_dict()],
                 }
@@ -388,10 +414,13 @@ def _sweep_chunk(args) -> tuple[int, dict, list, list]:
         if G is None:
             continue
         count += 1
-        result = verify_graph(G, field, mode)
-        _verify_into(tallies, mismatches, result)
         if cross_field:
-            disagreements.extend(_cross_field_check(G, idl.complementary_edge_ideal(G)))
+            record = analyze_graph(G, field, mode)
+            result = record.consistency
+            disagreements.extend(_cross_field_check(record))
+        else:
+            result = verify_graph(G, field, mode)
+        _verify_into(tallies, mismatches, result)
     return count, tallies, mismatches, disagreements
 
 
@@ -408,12 +437,16 @@ def sweep(
 
     The edge-mask space is split into contiguous chunks; chunk results
     merge in mask order, so the report does not depend on the worker
-    count.  ``progress``, if given, receives one line per finished n.
+    count.  At most one worker process per CPU and per chunk is started.
+    ``progress``, if given, receives one line per finished n.
     """
     if not 4 <= n_min <= n_max <= 7:
         raise ValueError("sweep range must satisfy 4 <= n_min <= n_max <= 7")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     start = time.perf_counter()
     total = 0
     tallies: dict[str, list[int]] = {}
@@ -422,10 +455,11 @@ def sweep(
     for n in range(n_min, n_max + 1):
         nmasks = 1 << len(edge_pairs(n))
         jobs = _chunk_jobs(n, nmasks, field.characteristic, mode, cross_field, workers)
-        if workers > 1 and len(jobs) > 1:
+        pool_size = min(workers, len(jobs))
+        if pool_size > 1:
             import multiprocessing
 
-            with multiprocessing.Pool(workers) as pool:
+            with multiprocessing.Pool(pool_size) as pool:
                 results = pool.map(_sweep_chunk, jobs)
         else:
             results = [_sweep_chunk(job) for job in jobs]
@@ -472,9 +506,6 @@ def gorenstein_census(n: int, field: FieldSpec = GF2) -> list[str]:
     out = []
     for G in iter_graphs(n):
         I = idl.complementary_edge_ideal(G)
-        primes = idl.minimal_primes(I)
-        table = hochster_betti(I, field)
-        ht = min(p.bit_count() for p in primes)
-        if table.pd + 1 == ht and table.total(table.pd) == 1:
+        if is_gorenstein(hochster_betti(I, field), idl.height(I)):
             out.append(emit_graph(G))
     return sorted(out)

@@ -13,14 +13,8 @@ import sys
 
 from . import classify as cf
 from . import ideals as idl
-from .betti import hochster_betti, koszul_betti, ring_properties
-from .graphs import (
-    GraphError,
-    emit_graph,
-    parse_graph,
-    validate_standing_assumptions,
-    vertices_of,
-)
+from .betti import hochster_betti, koszul_betti
+from .graphs import GraphError, emit_graph, parse_graph
 from .homology import GF2, GF3, QQ, FieldSpec
 
 ANALYSIS_SCHEMA = "compedge/analysis/1"
@@ -87,41 +81,37 @@ def _load_graph(args):
     return parse_graph(text, args.format)
 
 
-def _mono_strings(n, masks) -> list[str]:
-    return [str(idl.SqfMonomial(n, m)) for m in masks]
+def _dual_block(dual: idl.SqfIdeal) -> dict:
+    """The dual's generators, all of them and split by origin, each list in
+    the canonical (degree, lex) order: degree 2 from nonedges, 3 from
+    triangles."""
+    return {
+        "generators": dual.generator_strings(),
+        "from_nonedges": [str(g) for g in dual.gens if g.degree == 2],
+        "from_triangles": [str(g) for g in dual.gens if g.degree == 3],
+    }
 
 
-def build_analysis_document(G, field, mode, cross_check) -> dict:
-    I = idl.complementary_edge_ideal(G)
-    primes = idl.minimal_primes(I)
-    table = hochster_betti(I, field)
-    props = ring_properties(I, field, table=table, primes=primes)
-    cls = cf.classify_graph(G, mode)
-    consistency = cf.verify_graph(G, field, mode)
-    tri = set(g for g in primes if g.bit_count() == 3)
+def build_analysis_document(record: cf.GraphAnalysis, cross_check) -> dict:
+    G = record.graph
+    table = record.table
     doc = {
         "schema": ANALYSIS_SCHEMA,
         "input": {
-            "graph6": emit_graph(G),
+            "graph6": record.consistency.graph6,
             "n": G.n,
             "edges": [list(e) for e in G.edges()],
         },
-        "ideal": {"generators": I.generator_strings()},
-        "minimal_primes": _mono_strings(G.n, primes),
-        "alexander_dual": {
-            "generators": _mono_strings(G.n, primes),
-            "from_nonedges": _mono_strings(
-                G.n, [p for p in primes if p.bit_count() == 2]
-            ),
-            "from_triangles": _mono_strings(G.n, sorted(tri)),
-        },
+        "ideal": {"generators": record.ideal.generator_strings()},
+        "minimal_primes": [str(idl.SqfMonomial(G.n, p)) for p in record.primes],
+        "alexander_dual": _dual_block(record.dual),
         "betti": table.to_json_dict(),
-        "properties": props.to_json_dict(),
-        "classification": cls.to_json_dict(),
-        "consistency": consistency.to_json_dict(),
+        "properties": record.properties.to_json_dict(),
+        "classification": record.classification.to_json_dict(),
+        "consistency": record.consistency.to_json_dict(),
     }
     if cross_check:
-        oracle = koszul_betti(I, field)
+        oracle = koszul_betti(record.ideal, table.field)
         doc["betti_oracle"] = oracle.to_json_dict()
         doc["oracle_matches"] = oracle.entries == table.entries
     return doc
@@ -168,19 +158,17 @@ def _emit(args, text: str) -> None:
 
 def _cmd_analyze(args) -> int:
     G = _load_graph(args)
-    field = _field_from_flag(args.field)
-    doc = build_analysis_document(G, field, args.mode, args.cross_check)
+    record = cf.analyze_graph(G, _field_from_flag(args.field), args.mode)
+    doc = build_analysis_document(record, args.cross_check)
     if args.as_json:
         _emit(args, json.dumps(doc, indent=2, sort_keys=True))
     else:
-        I = idl.complementary_edge_ideal(G)
-        _emit(args, _render_analysis_text(doc, hochster_betti(I, field).render_text()))
+        _emit(args, _render_analysis_text(doc, record.table.render_text()))
     return EXIT_OK
 
 
 def _cmd_betti(args) -> int:
     G = _load_graph(args)
-    validate_standing_assumptions(G)
     field = _field_from_flag(args.field)
     I = idl.complementary_edge_ideal(G)
     table = hochster_betti(I, field)
@@ -203,16 +191,8 @@ def _cmd_betti(args) -> int:
 
 def _cmd_dual(args) -> int:
     G = _load_graph(args)
-    I = idl.complementary_edge_ideal(G)
-    primes = idl.minimal_primes(I)
-    nonedges = [p for p in primes if p.bit_count() == 2]
-    tri = [p for p in primes if p.bit_count() == 3]
-    payload = {
-        "graph6": emit_graph(G),
-        "generators": _mono_strings(G.n, primes),
-        "from_nonedges": _mono_strings(G.n, nonedges),
-        "from_triangles": _mono_strings(G.n, tri),
-    }
+    dual = idl.alexander_dual(idl.complementary_edge_ideal(G))
+    payload = {"graph6": emit_graph(G), **_dual_block(dual)}
     if args.as_json:
         _emit(args, json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -281,6 +261,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _cmd_sweep(args) -> int:
     n_min, n_max = _parse_range(args.n)
+    if args.workers < 1:
+        raise _UsageError(f"--workers must be at least 1, got {args.workers}")
     field = _field_from_flag(args.field)
     report = cf.sweep(
         n_min,
@@ -328,12 +310,11 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return _HANDLERS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    try:
-        return _HANDLERS[args.command](args)
     except (GraphError, idl.IdealError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -11,20 +11,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .graphs import Graph, iter_bits, triangles, validate_standing_assumptions, vertices_of
-from .ideals import SqfIdeal, minimal_primes, minimal_transversals, support_sort_key
+from .graphs import Graph, nonedge_masks, triangles, validate_standing_assumptions
+from .ideals import (
+    SqfIdeal,
+    complementary_edge_ideal,
+    minimal_primes,
+    minimal_transversals,
+    support_sort_key,
+)
 
 FacetCoverSeq = tuple  # ordered sequence of pairwise distinct facet masks
 
 
 def maximal_supports(masks) -> tuple[int, ...]:
-    """Inclusion-maximal elements of a family of masks, canonically sorted."""
+    """Inclusion-maximal elements of a family of masks, largest first."""
     distinct = sorted(set(masks), key=lambda m: -m.bit_count())
     kept: list[int] = []
     for m in distinct:
         if not any(m & ~k == 0 for k in kept):
             kept.append(m)
-    return tuple(sorted(kept, key=support_sort_key))
+    return tuple(kept)
+
+
+def faces_of(facets) -> set[int]:
+    """Every face mask of the complex generated by the facet masks."""
+    faces = set()
+    for f in facets:
+        s = f
+        while True:
+            faces.add(s)
+            if s == 0:
+                break
+            s = (s - 1) & f
+    return faces
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,7 +53,7 @@ class SimplicialComplex:
 
     @classmethod
     def from_facets(cls, n: int, masks) -> "SimplicialComplex":
-        return cls(n, maximal_supports(masks))
+        return cls(n, tuple(sorted(maximal_supports(masks), key=support_sort_key)))
 
     @property
     def is_void(self) -> bool:
@@ -59,22 +78,7 @@ class SimplicialComplex:
         return max(f.bit_count() for f in self.facets) - 1
 
     def face_masks(self) -> set[int]:
-        faces = set()
-        for f in self.facets:
-            s = f
-            while True:
-                faces.add(s)
-                if s == 0:
-                    break
-                s = (s - 1) & f
-        return faces
-
-    def is_face(self, mask: int) -> bool:
-        return any(mask & ~f == 0 for f in self.facets)
-
-    def facet_lists(self) -> list[list[int]]:
-        """Facets as 1-based vertex lists, the JSON serialization."""
-        return [list(vertices_of(f)) for f in self.facets]
+        return faces_of(self.facets)
 
 
 def gamma_complex(G: Graph) -> SimplicialComplex:
@@ -85,26 +89,13 @@ def gamma_complex(G: Graph) -> SimplicialComplex:
     """
     validate_standing_assumptions(G)
     full = G.full_mask
-    facets = []
-    for i in range(G.n):
-        for j in range(i + 1, G.n):
-            if not G.adj[i] >> j & 1:
-                facets.append(full ^ (1 << i) ^ (1 << j))
-    for t in triangles(G):
-        facets.append(full ^ t)
+    facets = [full ^ m for m in nonedge_masks(G) + triangles(G)]
     return SimplicialComplex.from_facets(G.n, facets)
 
 
 def facet_complex(G: Graph) -> SimplicialComplex:
     """Facets are the generator supports of the graph's ideal."""
-    validate_standing_assumptions(G)
-    full = G.full_mask
-    facets = []
-    for i in range(G.n):
-        row = G.adj[i] >> (i + 1)
-        for j in iter_bits(row):
-            facets.append(full ^ (1 << i) ^ (1 << (i + j + 1)))
-    return SimplicialComplex.from_facets(G.n, facets)
+    return SimplicialComplex.from_facets(G.n, complementary_edge_ideal(G).support_masks())
 
 
 def stanley_reisner_ideal(cx: SimplicialComplex) -> SqfIdeal:

@@ -135,12 +135,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def degree(self, v: int) -> int:
-        return self.adj[v - 1].bit_count()
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.adj[i - 1] >> (j - 1) & 1)
-
 
 def parse_graph(text: str, format: str = "graph6") -> Graph:
     """Decode a graph from ``graph6`` or ``edge-list`` text."""
@@ -309,6 +303,16 @@ def is_triangle_free(G: Graph) -> bool:
 
 def is_disjoint_union_of_edges(G: Graph) -> bool:
     return all(row.bit_count() == 1 for row in G.adj)
+
+
+def nonedge_masks(G: Graph) -> list[int]:
+    """Vertex masks of all nonedges, in lexicographic (i, j) order."""
+    out = []
+    for i in range(G.n):
+        for j in range(i + 1, G.n):
+            if not G.adj[i] >> j & 1:
+                out.append(1 << i | 1 << j)
+    return out
 
 
 def triangles(G: Graph) -> list[int]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, faces_of
 from .graphs import iter_bits, vertices_of
 
 
@@ -154,17 +154,9 @@ def matrix_rank(rows: list[list[int]], field: FieldSpec) -> int:
 
 def _faces_by_dim(facets: tuple[int, ...]) -> list[list[int]]:
     """levels[k + 1] lists the k-face masks (the empty face is level 0)."""
-    seen: set[int] = set()
-    for f in facets:
-        s = f
-        while True:
-            seen.add(s)
-            if s == 0:
-                break
-            s = (s - 1) & f
     top = max(f.bit_count() for f in facets)
     levels: list[list[int]] = [[] for _ in range(top + 1)]
-    for m in seen:
+    for m in faces_of(facets):
         levels[m.bit_count()].append(m)
     for level in levels:
         level.sort()
@@ -172,10 +164,6 @@ def _faces_by_dim(facets: tuple[int, ...]) -> list[list[int]]:
 
 
 _dims_cache: dict[tuple, tuple[tuple[int, int], ...]] = {}
-
-
-def clear_homology_cache() -> None:
-    _dims_cache.clear()
 
 
 def homology_dims_of_facets(facets, char: int) -> tuple[tuple[int, int], ...]:

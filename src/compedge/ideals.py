@@ -25,6 +25,9 @@ from .graphs import (
 )
 
 
+ORDER_SEARCH_LIMIT = 20
+
+
 class IdealError(Exception):
     """Base class for ideal-level failures."""
 
@@ -73,9 +76,6 @@ class SqfMonomial:
 
     def variables(self) -> tuple[int, ...]:
         return vertices_of(self.support)
-
-    def divides(self, other: "SqfMonomial") -> bool:
-        return self.support & ~other.support == 0
 
     def __str__(self) -> str:
         if self.support == 0:
@@ -128,9 +128,6 @@ class SqfIdeal:
 
     def generator_strings(self) -> list[str]:
         return [str(g) for g in self.gens]
-
-    def contains_monomial(self, mask: int) -> bool:
-        return any(g.support & ~mask == 0 for g in self.gens)
 
 
 def complementary_edge_ideal(G: Graph) -> SqfIdeal:
@@ -228,8 +225,9 @@ def degree_component(I: SqfIdeal, j: int) -> SqfIdeal:
     return SqfIdeal.from_supports(I.n, out)
 
 
-def lcm_graph(I: SqfIdeal) -> Graph:
-    """Graph on the generators, adjacent when their lcm has degree d + 1."""
+def lcm_graph(I: SqfIdeal) -> tuple[int, ...]:
+    """Adjacency masks of the graph on the generators, adjacent when their
+    lcm has degree d + 1; bare rows, so any number of generators fits."""
     if I.is_zero:
         raise ZeroIdealError("lcm graph of the zero ideal is undefined")
     if not I.is_equigenerated():
@@ -243,13 +241,13 @@ def lcm_graph(I: SqfIdeal) -> Graph:
             if (masks[a] | masks[b]).bit_count() == d + 1:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
-    return Graph(m, tuple(adj))
+    return tuple(adj)
 
 
 def is_linearly_related(I: SqfIdeal) -> bool:
     """First syzygies linear: every generator pair is joined by a path of
     generators dividing the pair's lcm, adjacency meaning lcm degree d + 1."""
-    LG = lcm_graph(I)
+    adj = lcm_graph(I)
     masks = I.support_masks()
     m = len(masks)
     for a in range(m):
@@ -267,7 +265,7 @@ def is_linearly_related(I: SqfIdeal) -> bool:
             while frontier and not reach & goal:
                 nxt = 0
                 for w in iter_bits(frontier):
-                    nxt |= LG.adj[w]
+                    nxt |= adj[w]
                 frontier = nxt & allowed & ~reach
                 reach |= frontier
             if not reach & goal:
@@ -369,7 +367,7 @@ def linear_quotient_order(G: Graph) -> MonomialOrderCert:
     return cert
 
 
-def has_linear_quotient_order(I: SqfIdeal, limit: int = 20) -> bool:
+def has_linear_quotient_order(I: SqfIdeal) -> bool:
     """Exhaustive decision over all generator orderings.
 
     Whether step i is admissible depends only on the set of earlier
@@ -378,8 +376,10 @@ def has_linear_quotient_order(I: SqfIdeal, limit: int = 20) -> bool:
     """
     masks = I.support_masks()
     m = len(masks)
-    if m > limit:
-        raise ValueError(f"exhaustive order search capped at {limit} generators")
+    if m > ORDER_SEARCH_LIMIT:
+        raise ValueError(
+            f"exhaustive order search capped at {ORDER_SEARCH_LIMIT} generators"
+        )
     full = (1 << m) - 1
     reach = {0}
     frontier = [0]

@@ -1,5 +1,6 @@
 """Predictions, per-graph verification, sweep engine, and the census."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from compedge.classify import (
     MODE_CORRECTED,
     MODE_PAPER_LITERAL,
+    analyze_graph,
     classify_graph,
     gorenstein_census,
     graph_from_edge_mask,
@@ -80,6 +82,36 @@ class TestVerify:
         for field in (GF3, QQ):
             assert verify_graph(p3_union_k2(), field).all_match()
 
+    def test_record_holds_what_the_claims_were_computed_from(self):
+        record = analyze_graph(paw(), GF3)
+        assert record.consistency == verify_graph(paw(), GF3)
+        assert record.dual.support_masks() == tuple(record.primes)
+        assert record.table.field == GF3
+        assert record.classification.chordal == record.properties.componentwise_linear_dual
+
+
+def canonical_digest(report) -> str:
+    text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class _SerialPool:
+    """Stands in for multiprocessing.Pool: records its size, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, size):
+        self.sizes.append(size)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return [fn(job) for job in jobs]
+
 
 class TestSweep:
     def test_n4_corrected_clean(self):
@@ -108,6 +140,32 @@ class TestSweep:
         serial = json.dumps(sweep(4, 4).to_json_dict(), sort_keys=True)
         parallel = json.dumps(sweep(4, 4, workers=2).to_json_dict(), sort_keys=True)
         assert serial == parallel
+
+    @pytest.mark.parametrize(
+        "field, cross_field, digest",
+        [
+            (GF2, False, "05048de67c146080528869d98aad2adbc0b580e8aa128dcb2f12c6b1e00e0ad2"),
+            (GF3, False, "6d14146b74a04b037d917da243a1d0c39cd0c51c7aacde343182e7dbe29c16ad"),
+            (QQ, False, "b599d3fcf0233e94f1be98c99d4063273a6041c69fb834e8201256e34af35808"),
+            (GF2, True, "5fc7e34a1645b2ad05ae9da5fec5851a5f8897f3d16cff94b41b83fdfa32ed0c"),
+        ],
+    )
+    def test_n4_report_bytes_are_pinned(self, field, cross_field, digest):
+        assert canonical_digest(sweep(4, 4, field, cross_field=cross_field)) == digest
+
+    def test_nonpositive_workers_rejected(self):
+        for workers in (0, -1):
+            with pytest.raises(ValueError):
+                sweep(4, 4, workers=workers)
+
+    @pytest.mark.parametrize("cpus, expected", [(3, [3]), (None, []), (1, [])])
+    def test_pool_size_clamped_to_cpus(self, monkeypatch, cpus, expected):
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        monkeypatch.setattr("multiprocessing.Pool", _SerialPool)
+        monkeypatch.setattr(_SerialPool, "sizes", [])
+        report = sweep(4, 4, workers=10**6)
+        assert _SerialPool.sizes == expected
+        assert canonical_digest(report) == canonical_digest(sweep(4, 4, workers=1))
 
     def test_enumeration_skips_isolated(self):
         masks = sum(1 for _ in iter_graphs(4))

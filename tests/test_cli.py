@@ -66,6 +66,15 @@ class TestDual:
         assert doc["from_nonedges"] == []
         assert len(doc["from_triangles"]) == 4
 
+    def test_analyze_lists_the_dual_in_the_same_order(self, capsys):
+        assert run(["dual", "Dto", "--json"]) == 0
+        dual = json.loads(capture(capsys)[0])
+        assert run(["analyze", "Dto", "--json"]) == 0
+        block = json.loads(capture(capsys)[0])["alexander_dual"]
+        assert dual["from_triangles"] == ["x1*x2*x5", "x1*x3*x4"]
+        for key in ("generators", "from_nonedges", "from_triangles"):
+            assert block[key] == dual[key]
+
 
 class TestOrder:
     def test_connected(self, capsys):
@@ -115,6 +124,15 @@ class TestSweepCommand:
 
     def test_bad_range_exit_two(self, capsys):
         assert run(["sweep", "--n", "3..4"]) == 2
+
+    def test_unparsable_range_is_a_usage_error(self, capsys):
+        assert run(["sweep", "--n", "four"]) == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_is_a_usage_error(self, capsys, workers):
+        assert run(["sweep", "--n", "4..4", "--workers", workers]) == 1
+        _, err = capture(capsys)
+        assert "--workers must be at least 1" in err
 
 
 class TestCensusCommand:

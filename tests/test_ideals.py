@@ -181,26 +181,43 @@ class TestDegreeComponent:
         assert degree_component(I, 1).is_zero
 
 
+def line_graph_rows(G, I):
+    """Adjacency rows of the line graph, generators standing for edges."""
+    edges = [G.full_mask ^ s for s in I.support_masks()]
+    return tuple(
+        sum(1 << b for b, f in enumerate(edges) if b != a and e & f)
+        for a, e in enumerate(edges)
+    )
+
+
 class TestLcmGraph:
     def test_p4_is_path(self):
         I = complementary_edge_ideal(path(4))
         # gens sorted: x1*x2 (edge 34), x1*x4 (edge 23), x3*x4 (edge 12)
-        assert lcm_graph(I).edges() == [(1, 2), (2, 3)]
+        assert lcm_graph(I) == (0b010, 0b101, 0b010)
 
     def test_two_k2_no_edges(self):
         I = complementary_edge_ideal(two_k2())
-        assert lcm_graph(I).edges() == []
+        assert lcm_graph(I) == (0, 0)
 
     def test_matches_line_graph_of_paw(self):
         G = paw()
         I = complementary_edge_ideal(G)
-        LG = lcm_graph(I)
+        rows = lcm_graph(I)
         full = G.full_mask
         edges = [full ^ s for s in I.support_masks()]
         for a in range(len(edges)):
             for b in range(a + 1, len(edges)):
                 share = bool(edges[a] & edges[b])
-                assert bool(LG.adj[a] >> b & 1) == share
+                assert bool(rows[a] >> b & 1) == share
+
+    def test_more_generators_than_graph_vertices(self):
+        # 63 generators: one more than a Graph may have vertices
+        G = complement(graph(12, (1, 2), (3, 4), (5, 6)))
+        I = complementary_edge_ideal(G)
+        assert len(I.gens) == 63
+        assert lcm_graph(I) == line_graph_rows(G, I)
+        assert is_linearly_related(I)
 
     def test_non_equigenerated_rejected(self):
         I = SqfIdeal.from_supports(4, [0b0011, 0b1110])
