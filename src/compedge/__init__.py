@@ -57,7 +57,6 @@ from .homology import (
 from .ideals import (
     MonomialOrderCert,
     SqfIdeal,
-    SqfMonomial,
     alexander_dual,
     complementary_edge_ideal,
     degree_component,

@@ -100,7 +100,7 @@ def multigraded_koszul_betti(I: SqfIdeal, field: FieldSpec) -> dict[tuple[int, i
     """Multigraded ranks keyed by (homological index, multidegree mask)."""
     if I.is_zero:
         raise ZeroIdealError("Betti table of the zero ideal is undefined")
-    gens = I.support_masks()
+    gens = I.gens
     char = field.characteristic
     out: dict[tuple[int, int], int] = {}
     for sigma in range(1, 1 << I.n):
@@ -168,7 +168,7 @@ def has_linear_resolution(I: SqfIdeal, field: FieldSpec) -> bool:
     """All nonzero table entries on the single strand j = i + d."""
     if I.is_zero:
         raise ZeroIdealError("zero ideal has no resolution")
-    key = (I.n, I.support_masks(), field.characteristic)
+    key = (I.n, I.gens, field.characteristic)
     cached = _linear_cache.get(key)
     if cached is None:
         d = min(I.degrees())

@@ -156,7 +156,7 @@ def _expected_dual_supports(G: Graph) -> list[int]:
 def _lcm_graph_matches_line_graph(G: Graph, I: idl.SqfIdeal) -> bool:
     adj = idl.lcm_graph(I)
     full = G.full_mask
-    edge_of = [full ^ s for s in I.support_masks()]
+    edge_of = [full ^ s for s in I.gens]
     m = len(edge_of)
     for a in range(m):
         for b in range(a + 1, m):
@@ -169,8 +169,7 @@ def _lcm_graph_matches_line_graph(G: Graph, I: idl.SqfIdeal) -> bool:
 def _linear_quotients_exist(G: Graph, I: idl.SqfIdeal, connected: bool) -> bool:
     # the constructive order exists only for connected graphs
     if connected:
-        cert = idl.linear_quotient_order(G)
-        return cert.is_valid_for(I) and idl.is_linear_quotient_order(I, cert.order)
+        return idl.linear_quotient_order(G).is_valid_for(I)
     if len(I.gens) <= EXHAUSTIVE_ORDER_SEARCH_LIMIT:
         return idl.has_linear_quotient_order(I)
     return False
@@ -238,7 +237,7 @@ def analyze_graph(
     add(
         "alexander_dual",
         _masks_json(expected_primes),
-        _masks_json(dual.support_masks()),
+        _masks_json(dual.gens),
     )
     add("dual_involution", True, idl.alexander_dual(dual) == I)
     add(
@@ -424,6 +423,14 @@ def _sweep_chunk(args) -> tuple[int, dict, list, list]:
     return count, tallies, mismatches, disagreements
 
 
+def _check_vertex_range(n_min: int, n_max: int) -> None:
+    """Exhaustive runs enumerate 2^(n(n-1)/2) edge masks: cap n at 7."""
+    if not 4 <= n_min <= n_max <= 7:
+        raise ValueError(
+            f"vertex range must satisfy 4 <= n_min <= n_max <= 7, got {n_min}..{n_max}"
+        )
+
+
 def sweep(
     n_min: int,
     n_max: int,
@@ -440,8 +447,7 @@ def sweep(
     count.  At most one worker process per CPU and per chunk is started.
     ``progress``, if given, receives one line per finished n.
     """
-    if not 4 <= n_min <= n_max <= 7:
-        raise ValueError("sweep range must satisfy 4 <= n_min <= n_max <= 7")
+    _check_vertex_range(n_min, n_max)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if workers < 1:
@@ -503,6 +509,7 @@ def _chunk_jobs(n, nmasks, char, mode, cross_field, workers):
 
 def gorenstein_census(n: int, field: FieldSpec = GF2) -> list[str]:
     """graph6 strings of all graphs whose quotient ring is Gorenstein."""
+    _check_vertex_range(n, n)
     out = []
     for G in iter_graphs(n):
         I = idl.complementary_edge_ideal(G)

@@ -38,41 +38,36 @@ def _field_from_flag(value: str) -> FieldSpec:
     return {"2": GF2, "3": GF3, "q": QQ}[value]
 
 
-def _add_common(sub, with_graph=True):
-    if with_graph:
-        sub.add_argument("graph", help="graph text, or - to read stdin")
-        sub.add_argument(
+def build_parser() -> _Parser:
+    """Each subcommand accepts only the options its handler reads."""
+    parser = _Parser(prog="compedge", description=__doc__)
+    subs = parser.add_subparsers(dest="command", required=True)
+    names = ("analyze", "betti", "dual", "order", "sweep", "census")
+    cmd = {name: subs.add_parser(name) for name in names}
+    for name in ("analyze", "betti", "dual", "order"):
+        cmd[name].add_argument("graph", help="graph text, or - to read stdin")
+        cmd[name].add_argument(
             "--format",
             choices=["graph6", "edge-list"],
             default="graph6",
             help="input format (default graph6)",
         )
-    sub.add_argument("--field", choices=["2", "3", "q"], default="2")
-    sub.add_argument(
-        "--mode",
-        choices=[cf.MODE_CORRECTED, cf.MODE_PAPER_LITERAL],
-        default=cf.MODE_CORRECTED,
-    )
-    sub.add_argument("--cross-check", action="store_true")
-    fmt = sub.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="as_json", action="store_true")
-    fmt.add_argument("--text", dest="as_json", action="store_false")
-    sub.set_defaults(as_json=False)
-    sub.add_argument("--out", default=None, help="write output to a file")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="compedge", description=__doc__)
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("analyze", "betti", "dual", "order"):
-        _add_common(subs.add_parser(name))
-    sweep_p = subs.add_parser("sweep")
-    sweep_p.add_argument("--n", default="4..6", help="vertex range, e.g. 4..6")
-    sweep_p.add_argument("--workers", type=int, default=1)
-    _add_common(sweep_p, with_graph=False)
-    census_p = subs.add_parser("census")
-    census_p.add_argument("--n", type=int, required=True)
-    _add_common(census_p, with_graph=False)
+    cmd["sweep"].add_argument("--n", default="4..6", help="vertex range, e.g. 4..6")
+    cmd["sweep"].add_argument("--workers", type=int, default=1)
+    cmd["census"].add_argument("--n", type=int, required=True)
+    for name in ("analyze", "betti", "sweep", "census"):
+        cmd[name].add_argument("--field", choices=["2", "3", "q"], default="2")
+    for name in ("analyze", "sweep"):
+        cmd[name].add_argument("--mode", choices=cf.MODES, default=cf.MODE_CORRECTED)
+    for name in ("analyze", "betti", "sweep"):
+        cmd[name].add_argument("--cross-check", action="store_true")
+    for name in ("analyze", "betti", "dual", "order", "census"):
+        fmt = cmd[name].add_mutually_exclusive_group()
+        fmt.add_argument("--json", dest="as_json", action="store_true")
+        fmt.add_argument("--text", dest="as_json", action="store_false")
+        cmd[name].set_defaults(as_json=False)
+    for sub in cmd.values():
+        sub.add_argument("--out", default=None, help="write output to a file")
     return parser
 
 
@@ -87,8 +82,8 @@ def _dual_block(dual: idl.SqfIdeal) -> dict:
     triangles."""
     return {
         "generators": dual.generator_strings(),
-        "from_nonedges": [str(g) for g in dual.gens if g.degree == 2],
-        "from_triangles": [str(g) for g in dual.gens if g.degree == 3],
+        "from_nonedges": [idl.monomial_str(g) for g in dual.gens if g.bit_count() == 2],
+        "from_triangles": [idl.monomial_str(g) for g in dual.gens if g.bit_count() == 3],
     }
 
 
@@ -103,7 +98,7 @@ def build_analysis_document(record: cf.GraphAnalysis, cross_check) -> dict:
             "edges": [list(e) for e in G.edges()],
         },
         "ideal": {"generators": record.ideal.generator_strings()},
-        "minimal_primes": [str(idl.SqfMonomial(G.n, p)) for p in record.primes],
+        "minimal_primes": [idl.monomial_str(p) for p in record.primes],
         "alexander_dual": _dual_block(record.dual),
         "betti": table.to_json_dict(),
         "properties": record.properties.to_json_dict(),
@@ -234,14 +229,14 @@ def _cmd_order(args) -> int:
             json.dumps(
                 {
                     "graph6": emit_graph(G),
-                    "order": [str(m) for m in cert.order],
+                    "order": [idl.monomial_str(m) for m in cert.order],
                     "colon_steps": steps,
                 },
                 sort_keys=True,
             ),
         )
     else:
-        lines = ["order: " + ", ".join(str(m) for m in cert.order)]
+        lines = ["order: " + ", ".join(map(idl.monomial_str, cert.order))]
         rendered = ["-" if not s else "(" + ",".join(s) + ")" for s in steps]
         lines.append("colon steps: " + " ".join(rendered))
         _emit(args, "\n".join(lines))
@@ -273,11 +268,7 @@ def _cmd_sweep(args) -> int:
         workers=args.workers,
         progress=lambda line: print(line, file=sys.stderr),
     )
-    text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
-    if args.as_json or args.out:
-        _emit(args, text)
-    else:
-        print(text)
+    _emit(args, json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     print(
         f"{report.graph_count} graphs, {report.mismatch_count} mismatches, "
         f"{report.wall_time_s:.1f}s",

@@ -95,7 +95,7 @@ def gamma_complex(G: Graph) -> SimplicialComplex:
 
 def facet_complex(G: Graph) -> SimplicialComplex:
     """Facets are the generator supports of the graph's ideal."""
-    return SimplicialComplex.from_facets(G.n, complementary_edge_ideal(G).support_masks())
+    return SimplicialComplex.from_facets(G.n, complementary_edge_ideal(G).gens)
 
 
 def stanley_reisner_ideal(cx: SimplicialComplex) -> SqfIdeal:

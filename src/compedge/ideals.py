@@ -1,8 +1,9 @@
 """Squarefree monomial ideals over K[x_1, ..., x_n].
 
 A squarefree monomial is stored as the bitmask of its support; an ideal is
-its minimal generating set, kept as an inclusion antichain sorted by
-(degree, support) so that equal ideals compare equal structurally.
+its minimal generating set of such masks, kept as an inclusion antichain
+sorted by degree and then lexicographically on the variables, so that
+equal ideals compare equal structurally.
 
 The central constructions here: the ideal with one degree n-2 generator
 per graph edge (each generator is the product of all variables except the
@@ -49,8 +50,21 @@ class NoOrderExistsError(IdealError):
         self.components = components
 
 
-def support_sort_key(mask: int) -> tuple:
-    return (mask.bit_count(), vertices_of(mask))
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def support_sort_key(mask: int) -> int:
+    """The canonical (degree, lex) order as one integer.
+
+    Degree comes first; within a degree, sets compare lexicographically on
+    their sorted vertices.  Reversing the mask's 64 bits puts the lowest
+    vertex on top, so the larger reversed mask sorts first.  Masks wider
+    than 64 bits raise OverflowError rather than sort wrongly.
+    """
+    reversed_bits = int.from_bytes(
+        mask.to_bytes(8, "little").translate(_REVERSED_BYTE), "big"
+    )
+    return (mask.bit_count() << 64) - reversed_bits
 
 
 def minimalize_supports(masks) -> tuple[int, ...]:
@@ -63,71 +77,37 @@ def minimalize_supports(masks) -> tuple[int, ...]:
     return tuple(kept)
 
 
-@dataclass(frozen=True, slots=True)
-class SqfMonomial:
-    """A squarefree monomial: the product of x_i over the support mask."""
-
-    n: int
-    support: int
-
-    @property
-    def degree(self) -> int:
-        return self.support.bit_count()
-
-    def variables(self) -> tuple[int, ...]:
-        return vertices_of(self.support)
-
-    def __str__(self) -> str:
-        if self.support == 0:
-            return "1"
-        return "*".join(f"x{v}" for v in self.variables())
-
-    @classmethod
-    def from_str(cls, n: int, text: str) -> "SqfMonomial":
-        text = text.strip()
-        if text == "1":
-            return cls(n, 0)
-        mask = 0
-        for token in text.split("*"):
-            token = token.strip()
-            if not token.startswith("x") or not token[1:].isdigit():
-                raise ValueError(f"bad monomial factor {token!r}")
-            v = int(token[1:])
-            if not 1 <= v <= n:
-                raise ValueError(f"variable x{v} outside x1..x{n}")
-            if mask >> (v - 1) & 1:
-                raise ValueError(f"repeated variable x{v}")
-            mask |= 1 << (v - 1)
-        return cls(n, mask)
+def monomial_str(mask: int) -> str:
+    """The squarefree monomial with this support: ``x1*x3*x4``, or ``1``."""
+    if mask == 0:
+        return "1"
+    return "*".join(f"x{v}" for v in vertices_of(mask))
 
 
 @dataclass(frozen=True, slots=True)
 class SqfIdeal:
-    """Minimal generating set of a squarefree monomial ideal in n variables."""
+    """Minimal generating set of a squarefree monomial ideal in n variables,
+    each generator given by its support mask."""
 
     n: int
-    gens: tuple[SqfMonomial, ...]
+    gens: tuple[int, ...]
 
     @classmethod
     def from_supports(cls, n: int, masks) -> "SqfIdeal":
-        gens = tuple(SqfMonomial(n, m) for m in minimalize_supports(masks))
-        return cls(n, gens)
+        return cls(n, minimalize_supports(masks))
 
     @property
     def is_zero(self) -> bool:
         return not self.gens
 
-    def support_masks(self) -> tuple[int, ...]:
-        return tuple(g.support for g in self.gens)
-
     def degrees(self) -> set[int]:
-        return {g.degree for g in self.gens}
+        return {g.bit_count() for g in self.gens}
 
     def is_equigenerated(self) -> bool:
         return len(self.degrees()) == 1
 
     def generator_strings(self) -> list[str]:
-        return [str(g) for g in self.gens]
+        return [monomial_str(g) for g in self.gens]
 
 
 def complementary_edge_ideal(G: Graph) -> SqfIdeal:
@@ -184,7 +164,7 @@ def minimal_primes(I: SqfIdeal) -> list[int]:
     if I.is_zero:
         raise ZeroIdealError("zero ideal has no minimal primes over itself")
     full = (1 << I.n) - 1
-    trs = minimal_transversals(I.support_masks(), full)
+    trs = minimal_transversals(I.gens, full)
     return sorted(trs, key=support_sort_key)
 
 
@@ -209,7 +189,7 @@ def degree_component(I: SqfIdeal, j: int) -> SqfIdeal:
         raise ValueError("degree component needs j >= 1")
     full = (1 << I.n) - 1
     out = set()
-    for g in I.support_masks():
+    for g in I.gens:
         d = g.bit_count()
         if d > j:
             continue
@@ -232,8 +212,8 @@ def lcm_graph(I: SqfIdeal) -> tuple[int, ...]:
         raise ZeroIdealError("lcm graph of the zero ideal is undefined")
     if not I.is_equigenerated():
         raise NotEquigeneratedError(f"generators span degrees {sorted(I.degrees())}")
-    d = I.gens[0].degree
-    masks = I.support_masks()
+    d = I.gens[0].bit_count()
+    masks = I.gens
     m = len(masks)
     adj = [0] * m
     for a in range(m):
@@ -248,7 +228,7 @@ def is_linearly_related(I: SqfIdeal) -> bool:
     """First syzygies linear: every generator pair is joined by a path of
     generators dividing the pair's lcm, adjacency meaning lcm degree d + 1."""
     adj = lcm_graph(I)
-    masks = I.support_masks()
+    masks = I.gens
     m = len(masks)
     for a in range(m):
         for b in range(a + 1, m):
@@ -282,6 +262,16 @@ def colon_min_gens(prefix_supports, support: int) -> tuple[int, ...]:
     return minimalize_supports(p & ~support for p in prefix_supports)
 
 
+def _colon_steps(seq):
+    """Minimal generators of (u_1, ..., u_i) : u_{i+1} for i = 0, 1, ..."""
+    for i in range(len(seq)):
+        yield colon_min_gens(seq[:i], seq[i])
+
+
+def _generated_by_variables(gens) -> bool:
+    return all(m.bit_count() == 1 for m in gens)
+
+
 @dataclass(frozen=True, slots=True)
 class MonomialOrderCert:
     """A generator ordering plus the minimal colon generators at each step.
@@ -291,8 +281,7 @@ class MonomialOrderCert:
     certificate is valid when every recorded mask has exactly one bit.
     """
 
-    n: int
-    order: tuple[SqfMonomial, ...]
+    order: tuple[int, ...]
     colon_steps: tuple[tuple[int, ...], ...]
 
     def colon_variables(self) -> list[tuple[int, ...]]:
@@ -300,28 +289,18 @@ class MonomialOrderCert:
         return [tuple(m.bit_length() for m in step) for step in self.colon_steps]
 
     def is_valid_for(self, I: SqfIdeal) -> bool:
-        if sorted(self.order, key=lambda g: support_sort_key(g.support)) != list(I.gens):
+        if sorted(self.order, key=support_sort_key) != list(I.gens):
             return False
-        supports = [g.support for g in self.order]
-        for i in range(len(supports)):
-            expected = colon_min_gens(supports[:i], supports[i])
-            if expected != self.colon_steps[i]:
-                return False
-            if any(m.bit_count() != 1 for m in expected):
-                return False
-        return True
+        steps = tuple(_colon_steps(self.order))
+        return steps == self.colon_steps and all(map(_generated_by_variables, steps))
 
 
 def is_linear_quotient_order(I: SqfIdeal, order) -> bool:
     """Check that successive colon ideals are generated by variables."""
-    seq = [g.support if isinstance(g, SqfMonomial) else g for g in order]
-    if sorted(seq, key=support_sort_key) != list(I.support_masks()):
+    seq = list(order)
+    if sorted(seq, key=support_sort_key) != list(I.gens):
         raise ValueError("order is not a permutation of the generators")
-    for i in range(1, len(seq)):
-        gens = colon_min_gens(seq[:i], seq[i])
-        if any(m.bit_count() != 1 for m in gens):
-            return False
-    return True
+    return all(map(_generated_by_variables, _colon_steps(seq)))
 
 
 def linear_quotient_order(G: Graph) -> MonomialOrderCert:
@@ -356,15 +335,10 @@ def linear_quotient_order(G: Graph) -> MonomialOrderCert:
             order_edges.append((candidate, w))
         processed |= 1 << candidate
     supports = [full ^ (1 << i) ^ (1 << j) for i, j in order_edges]
-    steps = tuple(colon_min_gens(supports[:i], supports[i]) for i in range(len(supports)))
-    cert = MonomialOrderCert(
-        G.n,
-        tuple(SqfMonomial(G.n, s) for s in supports),
-        steps,
-    )
-    if any(any(m.bit_count() != 1 for m in step) for step in steps):
+    steps = tuple(_colon_steps(supports))
+    if not all(map(_generated_by_variables, steps)):
         raise AssertionError("constructed order has a nonlinear colon step")
-    return cert
+    return MonomialOrderCert(tuple(supports), steps)
 
 
 def has_linear_quotient_order(I: SqfIdeal) -> bool:
@@ -374,7 +348,7 @@ def has_linear_quotient_order(I: SqfIdeal) -> bool:
     generators, so searching reachable prefix sets visits every ordering's
     state space; with m generators that is at most 2^m states.
     """
-    masks = I.support_masks()
+    masks = I.gens
     m = len(masks)
     if m > ORDER_SEARCH_LIMIT:
         raise ValueError(
@@ -392,8 +366,7 @@ def has_linear_quotient_order(I: SqfIdeal) -> bool:
             nxt = state | 1 << i
             if nxt in reach:
                 continue
-            gens = colon_min_gens(prefix, masks[i])
-            if all(g.bit_count() == 1 for g in gens):
+            if _generated_by_variables(colon_min_gens(prefix, masks[i])):
                 if nxt == full:
                     return True
                 reach.add(nxt)

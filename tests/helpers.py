@@ -149,7 +149,13 @@ def brute_minimal_transversals(supports, n) -> list[int]:
     minimal = [
         m for m in hitting if not any(h != m and h & ~m == 0 for h in hitting)
     ]
-    return sorted(minimal, key=lambda m: (bin(m).count("1"), vertices_of(m)))
+    return sorted(minimal, key=brute_canonical_key)
+
+
+def brute_canonical_key(mask):
+    """The canonical order of supports: by degree, then lexicographically
+    on the sorted vertices."""
+    return (bin(mask).count("1"), vertices_of(mask))
 
 
 # -------------------------------------------------------------- complexes

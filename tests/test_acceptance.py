@@ -7,12 +7,15 @@ timings.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import compedge
 from compedge.betti import hochster_betti, koszul_betti, multigraded_koszul_betti
 from compedge.classify import (
     MODE_PAPER_LITERAL,
@@ -204,6 +207,11 @@ def test_criterion_7_field_robustness():
 
 
 def test_criterion_8_determinism(tmp_path):
+    # the CLI subprocess imports the same compedge as this test, installed or not
+    pythonpath = [str(Path(compedge.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        pythonpath.append(os.environ["PYTHONPATH"])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
     files = {}
     for workers in (1, 8):
         out = tmp_path / f"report_w{workers}.json"
@@ -219,7 +227,7 @@ def test_criterion_8_determinism(tmp_path):
             "--out",
             str(out),
         ]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         files[workers] = out.read_bytes()
     ok = files[1] == files[8] and len(files[1]) > 0

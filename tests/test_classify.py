@@ -85,7 +85,7 @@ class TestVerify:
     def test_record_holds_what_the_claims_were_computed_from(self):
         record = analyze_graph(paw(), GF3)
         assert record.consistency == verify_graph(paw(), GF3)
-        assert record.dual.support_masks() == tuple(record.primes)
+        assert record.dual.gens == tuple(record.primes)
         assert record.table.field == GF3
         assert record.classification.chordal == record.properties.componentwise_linear_dual
 
@@ -186,3 +186,12 @@ class TestCensus:
 
     def test_n5_empty(self):
         assert gorenstein_census(5) == []
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_out_of_range_raises_before_enumerating(self, monkeypatch, n):
+        def enumerate_nothing(n):
+            raise AssertionError("enumerated graphs")
+
+        monkeypatch.setattr("compedge.classify.iter_graphs", enumerate_nothing)
+        with pytest.raises(ValueError, match="4 <= n_min <= n_max <= 7"):
+            gorenstein_census(n)

@@ -141,6 +141,11 @@ class TestCensusCommand:
         out, _ = capture(capsys)
         assert len(json.loads(out)) == 3
 
+    def test_n8_is_rejected_at_once(self, capsys):
+        assert run(["census", "--n", "8"]) == 2
+        _, err = capture(capsys)
+        assert "4 <= n_min <= n_max <= 7" in err
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):
@@ -151,3 +156,22 @@ class TestUsage:
 
     def test_missing_subcommand(self, capsys):
         assert run([]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["betti", "C~", "--mode", "corrected"],
+            ["dual", "C~", "--field", "3"],
+            ["dual", "C~", "--mode", "corrected"],
+            ["dual", "C~", "--cross-check"],
+            ["order", "C^", "--field", "3"],
+            ["order", "C^", "--mode", "corrected"],
+            ["order", "C^", "--cross-check"],
+            ["census", "--n", "4", "--mode", "corrected"],
+            ["census", "--n", "4", "--cross-check"],
+            ["sweep", "--n", "4..4", "--json"],
+            ["sweep", "--n", "4..4", "--text"],
+        ],
+    )
+    def test_options_a_command_does_not_read_are_rejected(self, capsys, argv):
+        assert run(argv) == 1

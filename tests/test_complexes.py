@@ -79,7 +79,7 @@ class TestStanleyReisner:
     def test_complex_of_ideal_has_right_faces(self, G):
         I = complementary_edge_ideal(G)
         cx = stanley_reisner_complex(I)
-        assert cx.face_masks() == brute_sr_faces(I.support_masks(), G.n)
+        assert cx.face_masks() == brute_sr_faces(I.gens, G.n)
 
 
 class TestFacetComplex:
