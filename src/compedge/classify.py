@@ -28,8 +28,8 @@ from .betti import (
     BettiTable,
     PropertyReport,
     betti_positions_check,
-    hochster_betti,
     is_gorenstein,
+    koszul_betti,
     ring_properties,
 )
 from .complexes import gamma_complex, stanley_reisner_ideal
@@ -216,7 +216,7 @@ def analyze_graph(
     I = idl.complementary_edge_ideal(G)
     primes = idl.minimal_primes(I)
     dual = idl.SqfIdeal.from_supports(G.n, primes)
-    table = hochster_betti(I, field)
+    table = koszul_betti(I, field)
     props = ring_properties(I, field, table=table, dual=dual)
     n = G.n
 
@@ -383,7 +383,7 @@ def _verify_into(acc_tallies, acc_mismatches, result: ConsistencyResult) -> None
 def _cross_field_check(record: GraphAnalysis) -> list[dict]:
     own = record.table
     tables = {
-        f.label: own if f == own.field else hochster_betti(record.ideal, f)
+        f.label: own if f == own.field else koszul_betti(record.ideal, f)
         for f in _CROSS_FIELDS
     }
     base = tables[GF2.label]
@@ -424,10 +424,11 @@ def _sweep_chunk(args) -> tuple[int, dict, list, list]:
 
 
 def _check_vertex_range(n_min: int, n_max: int) -> None:
-    """Exhaustive runs enumerate 2^(n(n-1)/2) edge masks: cap n at 7."""
-    if not 4 <= n_min <= n_max <= 7:
+    """Exhaustive runs enumerate 2^(n(n-1)/2) edge masks: cap n at 6, the
+    largest n a run finishes within minutes (n = 7 walks 2^21 masks)."""
+    if not 4 <= n_min <= n_max <= 6:
         raise ValueError(
-            f"vertex range must satisfy 4 <= n_min <= n_max <= 7, got {n_min}..{n_max}"
+            f"vertex range must satisfy 4 <= n_min <= n_max <= 6, got {n_min}..{n_max}"
         )
 
 
@@ -513,6 +514,6 @@ def gorenstein_census(n: int, field: FieldSpec = GF2) -> list[str]:
     out = []
     for G in iter_graphs(n):
         I = idl.complementary_edge_ideal(G)
-        if is_gorenstein(hochster_betti(I, field), idl.height(I)):
+        if is_gorenstein(koszul_betti(I, field), idl.height(I)):
             out.append(emit_graph(G))
     return sorted(out)

@@ -106,7 +106,7 @@ def build_analysis_document(record: cf.GraphAnalysis, cross_check) -> dict:
         "consistency": record.consistency.to_json_dict(),
     }
     if cross_check:
-        oracle = koszul_betti(record.ideal, table.field)
+        oracle = hochster_betti(record.ideal, table.field)
         doc["betti_oracle"] = oracle.to_json_dict()
         doc["oracle_matches"] = oracle.entries == table.entries
     return doc
@@ -166,11 +166,11 @@ def _cmd_betti(args) -> int:
     G = _load_graph(args)
     field = _field_from_flag(args.field)
     I = idl.complementary_edge_ideal(G)
-    table = hochster_betti(I, field)
+    table = koszul_betti(I, field)
     payload = {"graph6": emit_graph(G), "betti": table.to_json_dict()}
     matches = True
     if args.cross_check:
-        oracle = koszul_betti(I, field)
+        oracle = hochster_betti(I, field)
         payload["betti_oracle"] = oracle.to_json_dict()
         matches = oracle.entries == table.entries
         payload["oracle_matches"] = matches

@@ -8,8 +8,8 @@ equal ideals compare equal structurally.
 The central constructions here: the ideal with one degree n-2 generator
 per graph edge (each generator is the product of all variables except the
 edge's endpoints), minimal primes via minimal-transversal enumeration,
-Alexander duality, the lcm graph of an equigenerated ideal, and linear
-quotient orders with verifiable colon certificates.
+Alexander duality, the lcm graph of an equigenerated ideal, the lcm
+lattice, and linear quotient orders with verifiable colon certificates.
 """
 
 from __future__ import annotations
@@ -222,6 +222,19 @@ def lcm_graph(I: SqfIdeal) -> tuple[int, ...]:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
     return tuple(adj)
+
+
+def lcm_lattice(gens) -> list[int]:
+    """The lcm lattice without its bottom: every nonempty union of the
+    generator masks, sorted.  Each element outside the generators is a
+    smaller element joined with one more generator, so closing under union
+    with the generators suffices."""
+    elements = set(gens)
+    frontier = elements
+    while frontier:
+        frontier = {x | g for x in frontier for g in gens} - elements
+        elements |= frontier
+    return sorted(elements)
 
 
 def is_linearly_related(I: SqfIdeal) -> bool:

@@ -158,6 +158,16 @@ def brute_canonical_key(mask):
     return (bin(mask).count("1"), vertices_of(mask))
 
 
+def brute_lcm_lattice(gens) -> list[int]:
+    """Pairwise unions repeated until nothing new appears."""
+    family = set(gens)
+    while True:
+        bigger = family | {a | b for a in family for b in family}
+        if bigger == family:
+            return sorted(family)
+        family = bigger
+
+
 # -------------------------------------------------------------- complexes
 
 
@@ -203,6 +213,21 @@ def brute_rank(matrix, char: int) -> int:
                 if (d % char if char else d) != 0:
                     return k
     return 0
+
+
+# -------------------------------------------------- componentwise linearity
+
+
+def brute_is_componentwise_linear(I, field) -> bool:
+    """Linear resolution of every squarefree degree component, j = 1..n."""
+    from compedge.betti import has_linear_resolution
+    from compedge.ideals import degree_component
+
+    for j in range(1, I.n + 1):
+        comp = degree_component(I, j)
+        if not comp.is_zero and not has_linear_resolution(comp, field):
+            return False
+    return True
 
 
 # -------------------------------------------------------- quotient orders

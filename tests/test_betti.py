@@ -2,12 +2,14 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compedge.betti import (
     BettiTable,
     betti_positions_check,
     has_linear_resolution,
     hochster_betti,
+    is_componentwise_linear,
     koszul_betti,
     multigraded_koszul_betti,
     ring_properties,
@@ -21,7 +23,16 @@ from compedge.ideals import (
     complementary_edge_ideal,
 )
 from conftest import random_graphs_min_degree_one
-from helpers import all_graphs, complete, cycle, path, paw, p3_union_k2, two_k2
+from helpers import (
+    all_graphs,
+    brute_is_componentwise_linear,
+    complete,
+    cycle,
+    path,
+    paw,
+    p3_union_k2,
+    two_k2,
+)
 
 FIXED_TABLES = [
     (two_k2(), {(0, 2): 2, (1, 4): 1}, 1, 3),
@@ -63,6 +74,66 @@ class TestEngineAgreement:
     def test_sampled_larger(self, G):
         I = complementary_edge_ideal(G)
         assert hochster_betti(I, GF2).entries == koszul_betti(I, GF2).entries
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_graphs_min_degree_one(7, 10))
+    def test_beyond_the_acceptance_range_gf2(self, G):
+        I = complementary_edge_ideal(G)
+        assert koszul_betti(I, GF2).entries == hochster_betti(I, GF2).entries
+
+    @settings(max_examples=4, deadline=None)
+    @given(random_graphs_min_degree_one(7, 8))
+    def test_beyond_the_acceptance_range_qq(self, G):
+        I = complementary_edge_ideal(G)
+        assert koszul_betti(I, QQ).entries == hochster_betti(I, QQ).entries
+
+
+@st.composite
+def squarefree_ideals(draw):
+    """Ideals in 3..7 variables with 2..5 generators of degree 1..4; degree
+    2 is drawn most often, so that both outcomes of the componentwise
+    linearity test are common."""
+    n = draw(st.integers(min_value=3, max_value=7))
+    degrees = draw(
+        st.lists(st.sampled_from([1, 2, 2, 2, 3, 3, 4]), min_size=2, max_size=5)
+    )
+    gens = []
+    for d in degrees:
+        support = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=n - 1),
+                min_size=min(d, n),
+                max_size=min(d, n),
+                unique=True,
+            )
+        )
+        gens.append(sum(1 << v for v in support))
+    return SqfIdeal.from_supports(n, gens)
+
+
+class TestComponentwiseLinear:
+    @pytest.mark.parametrize(
+        "gens,expected",
+        [
+            ((0b0011, 0b1100), False),  # x1x2, x3x4
+            ((0b0001, 0b0110), True),  # x1, x2x3
+            ((0b0001, 0b0110, 0b11000), False),  # x1, x2x3, x4x5
+            ((0b0011, 0b1110), True),  # x1x2, x2x3x4
+            ((0b00111, 0b11000), False),  # x1x2x3, x4x5
+        ],
+    )
+    def test_examples(self, gens, expected):
+        I = SqfIdeal.from_supports(5, gens)
+        for field in (GF2, QQ):
+            assert is_componentwise_linear(I, field) is expected
+            assert brute_is_componentwise_linear(I, field) is expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(squarefree_ideals(), st.sampled_from([GF2, QQ]))
+    def test_truncated_at_top_degree_matches_every_degree(self, I, field):
+        assert is_componentwise_linear(I, field) == brute_is_componentwise_linear(
+            I, field
+        )
 
 
 class TestMultigraded:

@@ -187,11 +187,11 @@ class TestCensus:
     def test_n5_empty(self):
         assert gorenstein_census(5) == []
 
-    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("n", [3, 7, 8])
     def test_out_of_range_raises_before_enumerating(self, monkeypatch, n):
         def enumerate_nothing(n):
             raise AssertionError("enumerated graphs")
 
         monkeypatch.setattr("compedge.classify.iter_graphs", enumerate_nothing)
-        with pytest.raises(ValueError, match="4 <= n_min <= n_max <= 7"):
+        with pytest.raises(ValueError, match="4 <= n_min <= n_max <= 6"):
             gorenstein_census(n)

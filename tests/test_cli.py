@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -56,6 +57,19 @@ class TestBetti:
         doc = json.loads(out)
         assert doc["betti"]["entries"] == {"0,2": 6, "1,3": 8, "2,4": 3}
         assert doc["oracle_matches"] is True
+
+    def test_n62_cycle_with_two_chords(self, capsys, monkeypatch):
+        # the lcm lattice has 64 + 62 + 1 elements: polynomial, not 2^62
+        edges = [(i, i + 1) for i in range(1, 62)] + [(1, 62), (1, 31), (2, 40)]
+        text = "62\n" + "\n".join(f"{i} {j}" for i, j in edges)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        start = time.perf_counter()
+        code = run(["betti", "-", "--format", "edge-list", "--json"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        doc = json.loads(capture(capsys)[0])
+        assert doc["betti"]["entries"] == {"0,60": 64, "1,61": 66, "2,62": 3}
+        assert elapsed < 10
 
 
 class TestDual:
@@ -125,6 +139,11 @@ class TestSweepCommand:
     def test_bad_range_exit_two(self, capsys):
         assert run(["sweep", "--n", "3..4"]) == 2
 
+    def test_n7_exit_two(self, capsys):
+        assert run(["sweep", "--n", "6..7"]) == 2
+        _, err = capture(capsys)
+        assert "4 <= n_min <= n_max <= 6" in err
+
     def test_unparsable_range_is_a_usage_error(self, capsys):
         assert run(["sweep", "--n", "four"]) == 1
 
@@ -144,7 +163,16 @@ class TestCensusCommand:
     def test_n8_is_rejected_at_once(self, capsys):
         assert run(["census", "--n", "8"]) == 2
         _, err = capture(capsys)
-        assert "4 <= n_min <= n_max <= 7" in err
+        assert "4 <= n_min <= n_max <= 6" in err
+
+    def test_n7_is_rejected_at_once(self, monkeypatch, capsys):
+        def enumerate_nothing(n):
+            raise AssertionError("enumerated graphs")
+
+        monkeypatch.setattr("compedge.classify.iter_graphs", enumerate_nothing)
+        assert run(["census", "--n", "7"]) == 2
+        _, err = capture(capsys)
+        assert "4 <= n_min <= n_max <= 6" in err
 
 
 class TestUsage:

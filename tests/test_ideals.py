@@ -20,6 +20,7 @@ from compedge.ideals import (
     is_linearly_related,
     is_unmixed,
     lcm_graph,
+    lcm_lattice,
     linear_quotient_order,
     minimal_primes,
     minimal_transversals,
@@ -30,6 +31,7 @@ from conftest import random_graphs_min_degree_one
 from helpers import (
     brute_canonical_key,
     brute_has_linear_quotient_order,
+    brute_lcm_lattice,
     brute_minimal_transversals,
     complete,
     cycle,
@@ -250,6 +252,29 @@ class TestLcmGraph:
         I = SqfIdeal.from_supports(4, [0b0011, 0b1110])
         with pytest.raises(NotEquigeneratedError):
             lcm_graph(I)
+
+
+class TestLcmLattice:
+    def test_p4(self):
+        I = complementary_edge_ideal(path(4))
+        # the generators, [4] minus vertex 2 or 3, and [4]
+        assert lcm_lattice(I.gens) == [0b0011, 0b1001, 0b1011, 0b1100, 0b1101, 0b1111]
+
+    def test_two_k2_joins_to_the_top(self):
+        I = complementary_edge_ideal(two_k2())
+        assert lcm_lattice(I.gens) == [0b0011, 0b1100, 0b1111]
+
+    def test_mixed_degrees(self):
+        assert lcm_lattice((0b001, 0b110)) == [0b001, 0b110, 0b111]
+        assert lcm_lattice(()) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_graphs_min_degree_one(4, 9))
+    def test_matches_brute_closure_and_is_small(self, G):
+        I = complementary_edge_ideal(G)
+        lattice = lcm_lattice(I.gens)
+        assert lattice == brute_lcm_lattice(I.gens)
+        assert len(lattice) <= len(I.gens) + G.n + 1
 
 
 class TestLinearlyRelated:
