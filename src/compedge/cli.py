@@ -137,7 +137,7 @@ def _render_analysis_text(doc, table_text) -> str:
     else:
         lines.append("all claims match")
     if "oracle_matches" in doc:
-        lines.append(f"koszul oracle matches: {doc['oracle_matches']}")
+        lines.append(f"oracle matches: {doc['oracle_matches']}")
     return "\n".join(lines)
 
 
@@ -179,7 +179,7 @@ def _cmd_betti(args) -> int:
     else:
         text = table.render_text()
         if args.cross_check:
-            text += f"\nkoszul oracle matches: {matches}"
+            text += f"\noracle matches: {matches}"
         _emit(args, text)
     return EXIT_OK if matches else EXIT_MISMATCH
 

@@ -2,9 +2,13 @@
 
 Dimensions come from exact ranks of the boundary matrices of the augmented
 chain complex: over GF(2) rows are bitmask integers eliminated with xor;
-over GF(p) rows are integer lists reduced with modular inverses; over the
-rationals integer rows go through fraction-free Bareiss elimination, so no
-floating point appears anywhere.
+over GF(p) and the rationals rows are sparse {column: entry} dicts, and
+one elimination pivots on unit entries (any nonzero residue mod p, +-1
+over the rationals), as exact homology codes do (Dumas, Heckenbach,
+Saunders and Welker, "Computing simplicial homology based on efficient
+Smith normal form algorithms", 2003).  Over the rationals the row
+operations are integer and invertible; a remainder with no +-1 entry goes
+to fraction-free Bareiss elimination.  No floating point appears anywhere.
 
 Results are memoized per (facet family, characteristic): the sweep layers
 evaluate the same small complexes over and over.
@@ -75,29 +79,52 @@ def _rank_gf2(rows: list[int]) -> int:
     return rank
 
 
-def _rank_gfp(rows: list[list[int]], p: int) -> int:
-    mat = [row[:] for row in rows]
-    ncols = len(mat[0]) if mat else 0
+def _rank_sparse(rows: list[dict[int, int]], p: int) -> int:
+    """Rank over GF(p), or over the rationals when p == 0, of a matrix given
+    as sparse rows {column: integer nonzero mod p} (the rows are consumed).
+
+    Each step pivots on a unit entry of the sparsest row that has one (over
+    GF(p) every entry is a unit, over the rationals only +-1) and clears its
+    column from the other rows.  Over the rationals these are invertible
+    integer row operations, so entries stay integers and the rank is exact;
+    a remainder with no +-1 entry left goes to Bareiss.
+    """
     rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] % p:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        prow = [(x * inv) % p for x in mat[rank]]
-        mat[rank] = prow
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] % p:
-                c = mat[r][col] % p
-                mat[r] = [(x - c * y) % p for x, y in zip(mat[r], prow)]
-        rank += 1
-        if rank == len(mat):
+    while rows:
+        pivot = col = None
+        for row in rows:
+            if pivot is not None and len(row) >= len(pivot):
+                continue
+            for c, x in row.items():
+                if (x % p if p else x in (1, -1)):
+                    pivot, col = row, c
+                    break
+        if pivot is None:
             break
+        inv = pow(pivot[col], -1, p) if p else pivot[col]
+        remaining = []
+        for row in rows:
+            if row is pivot:
+                continue
+            y = row.get(col)
+            if y is not None:
+                f = y * inv
+                for c, x in pivot.items():
+                    w = row.get(c, 0) - f * x
+                    if p:
+                        w %= p
+                    if w:
+                        row[c] = w
+                    else:
+                        del row[c]
+                if not row:
+                    continue
+            remaining.append(row)
+        rows = remaining
+        rank += 1
+    if rows:
+        cols = set().union(*rows)
+        rank += _rank_bareiss([[row.get(c, 0) for c in cols] for row in rows])
     return rank
 
 
@@ -138,8 +165,6 @@ def matrix_rank(rows: list[list[int]], field: FieldSpec) -> int:
     if not rows or not rows[0]:
         return 0
     p = field.characteristic
-    if p == 0:
-        return _rank_bareiss(rows)
     if p == 2:
         packed = []
         for row in rows:
@@ -149,7 +174,9 @@ def matrix_rank(rows: list[list[int]], field: FieldSpec) -> int:
                     m |= 1 << c
             packed.append(m)
         return _rank_gf2(packed)
-    return _rank_gfp(rows, p)
+    return _rank_sparse(
+        [{c: x for c, x in enumerate(row) if (x % p if p else x)} for row in rows], p
+    )
 
 
 def _faces_by_dim(facets: tuple[int, ...]) -> list[list[int]]:
@@ -203,16 +230,15 @@ def _compute_dims(facets: tuple[int, ...], char: int) -> tuple[tuple[int, int], 
                 rows.append(r)
             ranks[k] = _rank_gf2(rows)
         else:
-            ncols = counts[k - 1]
             rows = []
             for m in levels[k]:
-                row = [0] * ncols
+                row = {}
                 sign = 1
                 for v in iter_bits(m):
                     row[lower_index[m ^ (1 << v)]] = sign
                     sign = -sign
                 rows.append(row)
-            ranks[k] = _rank_bareiss(rows) if char == 0 else _rank_gfp(rows, char)
+            ranks[k] = _rank_sparse(rows, char)
     out = []
     for k in range(-1, top):
         h = counts[k + 1] - ranks[k + 1] - ranks[k + 2]

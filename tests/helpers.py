@@ -7,6 +7,7 @@ with the library is evidence, not circularity.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from compedge.graphs import Graph, vertices_of
@@ -171,6 +172,17 @@ def brute_lcm_lattice(gens) -> list[int]:
 # -------------------------------------------------------------- complexes
 
 
+def rp2_6():
+    """The six-vertex real projective plane: H~_1 = GF(2) over GF(2) and
+    zero over every other field, because H_1 has 2-torsion."""
+    from compedge.complexes import SimplicialComplex
+
+    facets = ["123", "134", "145", "156", "126", "235", "245", "246", "346", "356"]
+    return SimplicialComplex.from_facets(
+        6, [sum(1 << (int(v) - 1) for v in f) for f in facets]
+    )
+
+
 def brute_sr_faces(gen_supports, n) -> set[int]:
     """Faces of the complex with the given minimal non-faces: all subsets
     containing no generator support."""
@@ -213,6 +225,23 @@ def brute_rank(matrix, char: int) -> int:
                 if (d % char if char else d) != 0:
                     return k
     return 0
+
+
+def exact_rank_qq(matrix) -> int:
+    """Rank over the rationals by Gaussian elimination on Fractions."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    for c in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 # -------------------------------------------------- componentwise linearity

@@ -15,7 +15,8 @@ from compedge.betti import (
     ring_properties,
 )
 from compedge.graphs import is_chordal, is_connected, mask_of
-from compedge.homology import GF2, GF3, QQ
+from compedge.complexes import stanley_reisner_ideal
+from compedge.homology import GF2, GF3, QQ, FieldSpec
 from compedge.ideals import (
     SqfIdeal,
     ZeroIdealError,
@@ -31,6 +32,7 @@ from helpers import (
     path,
     paw,
     p3_union_k2,
+    rp2_6,
     two_k2,
 )
 
@@ -86,6 +88,24 @@ class TestEngineAgreement:
     def test_beyond_the_acceptance_range_qq(self, G):
         I = complementary_edge_ideal(G)
         assert koszul_betti(I, QQ).entries == hochster_betti(I, QQ).entries
+
+
+class TestTorsion:
+    """The Stanley-Reisner ideal of the six-vertex RP^2 (its ten non-face
+    triangles): H~_1(RP^2) has 2-torsion, so the table depends on the field."""
+
+    @pytest.mark.parametrize("field", [GF2, GF3, FieldSpec(5), QQ])
+    def test_engines_agree(self, field):
+        I = stanley_reisner_ideal(rp2_6())
+        assert len(I.gens) == 10
+        assert hochster_betti(I, field).entries == koszul_betti(I, field).entries
+
+    def test_gf2_table_has_the_torsion_entries(self):
+        I = stanley_reisner_ideal(rp2_6())
+        over_gf2 = koszul_betti(I, GF2).entries
+        over_qq = koszul_betti(I, QQ).entries
+        assert over_qq == {(0, 3): 10, (1, 4): 15, (2, 5): 6}
+        assert over_gf2 == {**over_qq, (2, 6): 1, (3, 6): 1}
 
 
 @st.composite

@@ -37,6 +37,11 @@ class TestAnalyze:
         doc = json.loads(out)
         assert doc["oracle_matches"] is True
 
+    def test_cross_check_text(self, capsys):
+        assert run(["analyze", "C`", "--text", "--cross-check"]) == 0
+        out, _ = capture(capsys)
+        assert out.splitlines()[-1] == "oracle matches: True"
+
     def test_invalid_graph_exit_two(self, capsys):
         assert run(["analyze", "C"]) == 2
 
@@ -57,6 +62,11 @@ class TestBetti:
         doc = json.loads(out)
         assert doc["betti"]["entries"] == {"0,2": 6, "1,3": 8, "2,4": 3}
         assert doc["oracle_matches"] is True
+
+    def test_cross_check_text(self, capsys):
+        assert run(["betti", "C~", "--text", "--cross-check", "--field", "q"]) == 0
+        out, _ = capture(capsys)
+        assert out.splitlines()[-1] == "oracle matches: True"
 
     def test_n62_cycle_with_two_chords(self, capsys, monkeypatch):
         # the lcm lattice has 64 + 62 + 1 elements: polynomial, not 2^62

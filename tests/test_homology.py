@@ -17,7 +17,7 @@ from compedge.homology import (
     matrix_rank,
     reduced_homology_dims,
 )
-from helpers import brute_rank, complete, two_k2
+from helpers import brute_rank, complete, exact_rank_qq, rp2_6, two_k2
 
 FIELDS = [GF2, GF3, QQ, FieldSpec(5)]
 
@@ -77,16 +77,19 @@ class TestBoundaryMatrix:
 
 
 class TestRank:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
-        st.integers(min_value=1, max_value=4),
-        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=5),
+        st.sampled_from([1, 1, 2, 3]),
         st.data(),
     )
-    def test_matches_minor_oracle(self, nrows, ncols, data):
+    def test_matches_minor_oracle(self, nrows, ncols, scale, data):
+        # scaled by 2 or 3, a matrix has no +-1 entry, so the rational rank
+        # ends in the Bareiss remainder
         matrix = [
             [
-                data.draw(st.integers(min_value=-4, max_value=4))
+                scale * data.draw(st.integers(min_value=-4, max_value=4))
                 for _ in range(ncols)
             ]
             for _ in range(nrows)
@@ -95,6 +98,29 @@ class TestRank:
             assert matrix_rank(matrix, field) == brute_rank(
                 matrix, field.characteristic
             )
+
+    def test_no_unit_pivot(self):
+        # determinant -12: invertible over QQ and GF(5), singular over GF(3)
+        matrix = [[2, 4], [4, 2]]
+        assert matrix_rank(matrix, QQ) == 2
+        assert matrix_rank(matrix, FieldSpec(5)) == 2
+        assert matrix_rank(matrix, GF3) == 1
+        assert matrix_rank(matrix, GF2) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.builds(
+            lambda n, picks: SimplicialComplex.from_facets(
+                n, [p % (1 << n) for p in picks]
+            ),
+            st.integers(min_value=1, max_value=7),
+            st.lists(st.integers(min_value=1), min_size=1, max_size=8),
+        )
+    )
+    def test_boundary_ranks_match_exact_rationals(self, complex_):
+        for k in range(complex_.dimension + 2):
+            matrix = boundary_matrix(complex_, k)
+            assert matrix_rank(matrix, QQ) == exact_rank_qq(matrix)
 
     def test_empty(self):
         assert matrix_rank([], GF2) == 0
@@ -132,6 +158,12 @@ class TestReducedHomology:
         sphere = cx(4, *combinations(range(1, 5), 3))
         for field in FIELDS:
             assert reduced_homology_dims(sphere, field).nonzero() == {2: 1}
+
+    def test_projective_plane_torsion(self):
+        rp2 = rp2_6()
+        assert reduced_homology_dims(rp2, GF2).nonzero() == {1: 1, 2: 1}
+        for field in (GF3, FieldSpec(5), QQ):
+            assert reduced_homology_dims(rp2, field).nonzero() == {}
 
     @settings(max_examples=80, deadline=None)
     @given(small_complexes)
