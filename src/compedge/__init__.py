@@ -29,14 +29,12 @@ from .complexes import (
     gamma_complex,
     induced_subcollection,
     induced_subcomplex,
-    is_cone,
     is_well_ordered_facet_cover,
     stanley_reisner_complex,
     stanley_reisner_ideal,
 )
 from .graphs import (
     Graph,
-    complement,
     connected_components,
     emit_graph,
     is_chordal,
@@ -63,7 +61,6 @@ from .ideals import (
     height,
     is_linear_quotient_order,
     is_linearly_related,
-    is_unmixed,
     lcm_graph,
     linear_quotient_order,
     minimal_primes,

@@ -22,12 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .complexes import maximal_supports, stanley_reisner_complex
+from .graphs import iter_bits
 from .homology import FieldSpec, homology_dims_of_facets
 from .ideals import (
     SqfIdeal,
     ZeroIdealError,
     alexander_dual,
     degree_component,
+    greedy_linear_quotient_order,
     lcm_lattice,
 )
 
@@ -174,25 +176,92 @@ class PropertyReport:
         }
 
 
-_linear_cache: dict[tuple, bool] = {}
+def _has_face_of_size(I: SqfIdeal, size: int) -> bool:
+    """Whether Delta(I) has a face with this many vertices: a set that
+    contains no generator.
+
+    Faces are grown one vertex at a time.  A set is a face iff it is not a
+    generator and every subset one smaller is a face, since a generator
+    strictly inside the set misses one of its vertices.
+    """
+    nonfaces = set(I.gens)
+    level = {0}
+    for _ in range(size):
+        grown = set()
+        for face in level:
+            for v in range(face.bit_length(), I.n):
+                f = face | 1 << v
+                if f not in nonfaces and all(f ^ 1 << u in level for u in iter_bits(face)):
+                    grown.add(f)
+        if not grown:
+            return False
+        level = grown
+    return True
 
 
-def has_linear_resolution(I: SqfIdeal, field: FieldSpec) -> bool:
-    """All nonzero table entries on the single strand j = i + d."""
-    if I.is_zero:
-        raise ZeroIdealError("zero ideal has no resolution")
-    key = (I.n, I.gens, field.characteristic)
-    cached = _linear_cache.get(key)
-    if cached is None:
-        d = min(I.degrees())
-        table = hochster_betti(I, field)
-        cached = all(j == i + d for i, j in table.entries)
-        _linear_cache[key] = cached
-    return cached
+def _nonlinear_witness(comp: SqfIdeal, field: FieldSpec) -> bool:
+    """A chordless cycle W of length >= 4 among the non-generator pairs of
+    a quadratic ideal, confirmed by H~_1(Delta(comp)_W) != 0.
+
+    The non-generator pairs are the edges of the complement H of the
+    generator graph.  For each induced path a - v - b in H, a shortest
+    a - b path avoiding the other neighbours of v closes a chordless
+    cycle; H is chordal iff no such path exists.  Delta(comp) is the
+    clique complex of H, and W spans no triangle of H (checked), so the
+    edges of H inside W are all of Delta(comp)_W above the vertices.
+    """
+    full = (1 << comp.n) - 1
+    adj = [full ^ 1 << v for v in range(comp.n)]  # rows of H
+    for g in comp.gens:
+        x, y = iter_bits(g)
+        adj[x] &= ~(1 << y)
+        adj[y] &= ~(1 << x)
+    for v in range(comp.n):
+        around = adj[v]
+        for a in iter_bits(around):
+            # b > a, so each induced path is tried once
+            for b in iter_bits(around & ~adj[a] & -(2 << a)):
+                allowed = ~(around | 1 << v) | 1 << a | 1 << b
+                path = _shortest_path(adj, a, b, allowed)
+                if path:
+                    W = path | 1 << v
+                    edges = [
+                        (x, y)
+                        for x in iter_bits(W)
+                        for y in iter_bits(W & adj[x] & -(2 << x))
+                    ]
+                    if any(adj[x] & adj[y] & W for x, y in edges):
+                        return False  # not chordless: edges miss faces of Delta_W
+                    facets = [1 << x | 1 << y for x, y in edges]
+                    dims = homology_dims_of_facets(facets, field.characteristic)
+                    return any(k >= 1 for k, _ in dims)
+    return False
+
+
+def _shortest_path(adj, a: int, b: int, allowed: int) -> int:
+    """Vertex mask of a shortest a - b path inside ``allowed``; 0 if none."""
+    parent = {a: a}
+    frontier = [a]
+    seen = 1 << a
+    while frontier and b not in parent:
+        nxt = []
+        for x in frontier:
+            for y in iter_bits(adj[x] & allowed & ~seen):
+                parent[y] = x
+                seen |= 1 << y
+                nxt.append(y)
+        frontier = nxt
+    if b not in parent:
+        return 0
+    path = 1 << a
+    while b != a:
+        path |= 1 << b
+        b = parent[b]
+    return path
 
 
 def is_componentwise_linear(I: SqfIdeal, field: FieldSpec) -> bool:
-    """Every degree component has linear resolution.
+    """Every degree component I_[j] has a linear resolution.
 
     Components above D, the largest generator degree, need no check.  For
     j >= D the squarefree component I_[j] has Stanley-Reisner complex
@@ -201,10 +270,36 @@ def is_componentwise_linear(I: SqfIdeal, field: FieldSpec) -> bool:
     up, so by Hochster's formula I_[j] has a linear resolution iff
     H~_k(Delta(I)_W) = 0 for every W and every k >= j - 1.  The condition
     weakens as j grows, so j = D implies every larger j.
+
+    The components j <= D are decided in turn by exact arguments, and the
+    Hochster sum over all 2^n vertex sets runs only when none applies:
+
+    - Dimension step, j = D: when Delta(I) has no face of size D its
+      dimension is at most D - 2, the condition above is vacuous, and
+      I_[D] is never built.
+    - Witness, j = 2: a chordless cycle W of length >= 4 in the
+      complement of the generator graph has H~_1(Delta_W) != 0, a Betti
+      number off the linear strand (Froberg, "On Stanley-Reisner rings",
+      1990: a quadratic ideal has a linear resolution iff that complement
+      is chordal).  The homology is computed, not assumed.
+    - Certificate, any j: an order of the generators with linear
+      quotients, found greedily and checked colon by colon, gives a
+      linear resolution over every field (Herzog-Takayama, "Resolutions
+      by mapping cones", 2002).
+    - Fallback: the linear strand of the Hochster table of I_[j].
     """
-    for j in range(1, max(I.degrees(), default=0) + 1):
+    top = max(I.degrees(), default=0)
+    for j in range(1, top + 1):
+        if j == top and not _has_face_of_size(I, top):
+            return True
         comp = degree_component(I, j)
-        if not comp.is_zero and not has_linear_resolution(comp, field):
+        if comp.is_zero:
+            continue
+        if j == 2 and _nonlinear_witness(comp, field):
+            return False
+        if greedy_linear_quotient_order(comp) is not None:
+            continue
+        if any(b != a + j for a, b in hochster_betti(comp, field).entries):
             return False
     return True
 

@@ -60,10 +60,6 @@ class SimplicialComplex:
         return not self.facets
 
     @property
-    def is_irrelevant(self) -> bool:
-        return self.facets == (0,)
-
-    @property
     def vertex_mask(self) -> int:
         m = 0
         for f in self.facets:
@@ -130,18 +126,6 @@ def induced_subcomplex(cx: SimplicialComplex, W: int) -> SimplicialComplex:
 def induced_subcollection(cx: SimplicialComplex, W: int) -> SimplicialComplex:
     """Only those whole facets lying inside W."""
     return SimplicialComplex(cx.n, tuple(f for f in cx.facets if f & ~W == 0))
-
-
-def is_cone(cx: SimplicialComplex):
-    """Smallest vertex contained in every facet, or None."""
-    if cx.is_void:
-        return None
-    common = cx.facets[0]
-    for f in cx.facets[1:]:
-        common &= f
-    if common == 0:
-        return None
-    return (common & -common).bit_length()
 
 
 def _check_cover_seq(facet_set: frozenset, cover_mask: int, seq) -> bool:

@@ -288,10 +288,6 @@ def is_forest(G: Graph) -> bool:
     return G.edge_count() == G.n - len(connected_components(G))
 
 
-def is_tree(G: Graph) -> bool:
-    return G.edge_count() == G.n - 1 and is_connected(G)
-
-
 def is_triangle_free(G: Graph) -> bool:
     for i in range(G.n):
         row = G.adj[i] >> (i + 1)
@@ -322,11 +318,6 @@ def triangles(G: Graph) -> list[int]:
         if G.adj[i] >> j & 1 and G.adj[i] >> k & 1 and G.adj[j] >> k & 1:
             out.append(1 << i | 1 << j | 1 << k)
     return out
-
-
-def complement(G: Graph) -> Graph:
-    full = G.full_mask
-    return Graph(G.n, tuple(full ^ (1 << i) ^ G.adj[i] for i in range(G.n)))
 
 
 def is_chordal(G: Graph) -> bool:

@@ -173,11 +173,6 @@ def height(I: SqfIdeal) -> int:
     return min(p.bit_count() for p in primes)
 
 
-def is_unmixed(I: SqfIdeal) -> bool:
-    primes = minimal_primes(I)
-    return len({p.bit_count() for p in primes}) == 1
-
-
 def alexander_dual(I: SqfIdeal) -> SqfIdeal:
     """Squarefree dual: generators are the minimal prime supports."""
     return SqfIdeal.from_supports(I.n, minimal_primes(I))
@@ -352,6 +347,23 @@ def linear_quotient_order(G: Graph) -> MonomialOrderCert:
     if not all(map(_generated_by_variables, steps)):
         raise AssertionError("constructed order has a nonlinear colon step")
     return MonomialOrderCert(tuple(supports), steps)
+
+
+def greedy_linear_quotient_order(I: SqfIdeal) -> tuple[int, ...] | None:
+    """An order with linear quotients, built by appending any remaining
+    generator whose colon with the prefix is generated by variables; None
+    when no remaining generator qualifies.  None does not rule an order
+    out: an earlier choice may have led to the dead end."""
+    order: list[int] = []
+    remaining = list(I.gens)
+    while remaining:
+        for i, u in enumerate(remaining):
+            if _generated_by_variables(colon_min_gens(order, u)):
+                order.append(remaining.pop(i))
+                break
+        else:
+            return None
+    return tuple(order)
 
 
 def has_linear_quotient_order(I: SqfIdeal) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from compedge.betti import hochster_betti
 from compedge.graphs import Graph, vertices_of
 
 # ---------------------------------------------------------------- graphs
@@ -29,6 +30,12 @@ def cycle(n):
 
 def complete(n):
     return graph(n, *combinations(range(1, n + 1), 2))
+
+
+def complement(G):
+    """Every pair of distinct vertices that is not an edge of G."""
+    edges = set(G.edges())
+    return graph(G.n, *[e for e in combinations(range(1, G.n + 1), 2) if e not in edges])
 
 
 def two_k2():
@@ -247,9 +254,14 @@ def exact_rank_qq(matrix) -> int:
 # -------------------------------------------------- componentwise linearity
 
 
+def has_linear_resolution(I, field) -> bool:
+    """All nonzero Hochster table entries on the single strand j = i + d."""
+    d = min(I.degrees())
+    return all(j == i + d for i, j in hochster_betti(I, field).entries)
+
+
 def brute_is_componentwise_linear(I, field) -> bool:
     """Linear resolution of every squarefree degree component, j = 1..n."""
-    from compedge.betti import has_linear_resolution
     from compedge.ideals import degree_component
 
     for j in range(1, I.n + 1):

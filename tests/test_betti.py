@@ -1,13 +1,15 @@
 """Betti tables: the two engines, fixed points, and derived properties."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compedge import betti
 from compedge.betti import (
     BettiTable,
     betti_positions_check,
-    has_linear_resolution,
     hochster_betti,
     is_componentwise_linear,
     koszul_betti,
@@ -22,6 +24,8 @@ from compedge.ideals import (
     ZeroIdealError,
     alexander_dual,
     complementary_edge_ideal,
+    degree_component,
+    has_linear_quotient_order,
 )
 from conftest import random_graphs_min_degree_one
 from helpers import (
@@ -29,6 +33,7 @@ from helpers import (
     brute_is_componentwise_linear,
     complete,
     cycle,
+    has_linear_resolution,
     path,
     paw,
     p3_union_k2,
@@ -156,6 +161,91 @@ class TestComponentwiseLinear:
         )
 
 
+@st.composite
+def quadratic_ideals(draw):
+    """Ideals generated by 1..12 distinct pairs of 4..9 variables."""
+    n = draw(st.integers(min_value=4, max_value=9))
+    pairs = [1 << a | 1 << b for a in range(n) for b in range(a + 1, n)]
+    gens = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=12))
+    return SqfIdeal.from_supports(n, gens)
+
+
+@pytest.fixture
+def decisions(monkeypatch):
+    """Count the components that each step of is_componentwise_linear
+    decided: a confirmed witness, a linear-quotient certificate or the
+    Hochster fallback; also count the degree components built.  The
+    oracle in helpers binds its own hochster_betti, so its calls are not
+    counted."""
+    counts = Counter()
+
+    def counting(name, decided):
+        original = getattr(betti, name)
+
+        def wrapper(*args):
+            out = original(*args)
+            if decided(out):
+                counts[name] += 1
+            return out
+
+        monkeypatch.setattr(betti, name, wrapper)
+
+    counting("_nonlinear_witness", bool)
+    counting("greedy_linear_quotient_order", lambda order: order is not None)
+    counting("hochster_betti", lambda table: True)
+    counting("degree_component", lambda comp: True)
+    return counts
+
+
+class TestDecisionPaths:
+    """Each step of is_componentwise_linear against the Hochster oracle."""
+
+    def test_c4_dual_is_refuted_by_a_witness(self, decisions):
+        dual = alexander_dual(complementary_edge_ideal(cycle(4)))
+        assert not is_componentwise_linear(dual, GF2)
+        assert decisions == {"degree_component": 2, "_nonlinear_witness": 1}
+        assert not has_linear_resolution(degree_component(dual, 2), GF2)
+
+    def test_paw_dual_needs_a_certificate_and_the_dimension_step(self, decisions):
+        # the triangle is the only degree-3 generator and Delta is the
+        # graph, so no face of size 3 exists and I_[3] is never built
+        dual = alexander_dual(complementary_edge_ideal(paw()))
+        assert dual.degrees() == {2, 3}
+        assert is_componentwise_linear(dual, GF2)
+        assert decisions == {"degree_component": 2, "greedy_linear_quotient_order": 1}
+        assert has_linear_resolution(degree_component(dual, 3), GF2)
+
+    def test_projective_plane_dual_falls_back_to_hochster(self, decisions):
+        # Eagon-Reiner: the dual has a linear resolution iff RP^2 is
+        # Cohen-Macaulay over the field, which fails only in characteristic 2
+        dual = alexander_dual(stanley_reisner_ideal(rp2_6()))
+        assert dual.degrees() == {3} and len(dual.gens) == 10
+        assert not has_linear_quotient_order(dual)
+        for field, expected in ((GF2, False), (GF3, True), (QQ, True)):
+            assert is_componentwise_linear(dual, field) is expected
+            assert has_linear_resolution(dual, field) is expected
+        assert decisions["hochster_betti"] == 3
+        assert decisions["greedy_linear_quotient_order"] == 0
+
+    def test_random_ideals_match_the_oracle_on_every_path(self, decisions):
+        @settings(max_examples=120, deadline=None, derandomize=True)
+        @given(quadratic_ideals(), st.sampled_from([GF2, GF3, QQ]))
+        def quadratic(I, field):
+            assert is_componentwise_linear(I, field) == has_linear_resolution(I, field)
+
+        @settings(max_examples=120, deadline=None, derandomize=True)
+        @given(squarefree_ideals(), st.sampled_from([GF2, QQ]))
+        def mixed(I, field):
+            assert is_componentwise_linear(I, field) == brute_is_componentwise_linear(
+                I, field
+            )
+
+        quadratic()
+        mixed()
+        for step in ("_nonlinear_witness", "greedy_linear_quotient_order", "hochster_betti"):
+            assert decisions[step] > 0, step
+
+
 class TestMultigraded:
     def test_degree_zero_rows_are_generators(self):
         I = complementary_edge_ideal(path(4))
@@ -213,8 +303,6 @@ class TestRingProperties:
 
     def test_linear_resolution_helper(self):
         dual = alexander_dual(complementary_edge_ideal(cycle(4)))
-        from compedge.ideals import degree_component
-
         assert not has_linear_resolution(degree_component(dual, 2), GF2)
         assert has_linear_resolution(degree_component(dual, 3), GF2)
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from compedge import betti
 from compedge.classify import (
     MODE_CORRECTED,
     MODE_PAPER_LITERAL,
@@ -18,7 +19,17 @@ from compedge.classify import (
 )
 from compedge.graphs import parse_graph
 from compedge.homology import GF2, GF3, QQ
-from helpers import complete, cycle, min_degree_one_count, path, paw, p3_union_k2, two_k2
+from helpers import (
+    all_graphs,
+    complete,
+    cycle,
+    graph,
+    min_degree_one_count,
+    path,
+    paw,
+    p3_union_k2,
+    two_k2,
+)
 
 
 class TestClassify:
@@ -88,6 +99,33 @@ class TestVerify:
         assert record.dual.gens == tuple(record.primes)
         assert record.table.field == GF3
         assert record.classification.chordal == record.properties.componentwise_linear_dual
+
+
+class TestAnalyzeRunsNoHochsterSum:
+    """The dual's componentwise linearity is decided without the 2^n
+    Hochster sum: every call to it fails here."""
+
+    @pytest.fixture(autouse=True)
+    def _refuse_hochster(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("hochster_betti called")
+
+        monkeypatch.setattr(betti, "hochster_betti", refuse)
+
+    def test_every_graph_on_five_vertices(self):
+        count = 0
+        for G in all_graphs(5):
+            if all(G.adj):
+                result = analyze_graph(G).consistency
+                assert result.all_match(), (result.graph6, result.mismatches)
+                count += 1
+        assert count == min_degree_one_count(5)
+
+    def test_sixteen_cycle_with_two_chords(self):
+        G = graph(16, (1, 8), (2, 11), (1, 16), *[(i, i + 1) for i in range(1, 16)])
+        record = analyze_graph(G)
+        assert record.consistency.all_match(), record.consistency.mismatches
+        assert not record.properties.componentwise_linear_dual
 
 
 def canonical_digest(report) -> str:

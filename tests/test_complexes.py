@@ -10,7 +10,6 @@ from compedge.complexes import (
     gamma_complex,
     induced_subcollection,
     induced_subcomplex,
-    is_cone,
     is_well_ordered_facet_cover,
     stanley_reisner_complex,
     stanley_reisner_ideal,
@@ -124,24 +123,16 @@ class TestRestrictions:
 
 
 class TestCones:
-    def test_restricted_four_cycle_is_cone(self):
-        sub = induced_subcomplex(gamma_complex(two_k2()), mask_of([2, 3, 4]))
-        assert is_cone(sub) == 2
-
-    def test_four_cycle_is_not(self):
-        assert is_cone(gamma_complex(two_k2())) is None
-
-    def test_single_facet_smallest_apex(self):
-        cx = SimplicialComplex.from_facets(4, [mask_of([1, 2, 3])])
-        assert is_cone(cx) == 1
-
     @settings(max_examples=60, deadline=None)
     @given(random_graphs_min_degree_one(4, 6))
     def test_cones_have_no_homology(self, G):
         cx = gamma_complex(G)
         for W in [cx.vertex_mask ^ (1 << i) for i in range(G.n)]:
             sub = induced_subcomplex(cx, W)
-            if not sub.is_void and is_cone(sub) is not None:
+            apex = sub.vertex_mask
+            for f in sub.facets:
+                apex &= f
+            if apex:
                 assert reduced_homology_dims(sub, GF2).total() == 0
 
 
@@ -205,8 +196,8 @@ class TestDegenerateComplexes:
     def test_void_vs_irrelevant(self):
         void = SimplicialComplex.from_facets(3, [])
         irrelevant = SimplicialComplex.from_facets(3, [0])
-        assert void.is_void and not void.is_irrelevant
-        assert irrelevant.is_irrelevant and not irrelevant.is_void
+        assert void.is_void and void.facets == ()
+        assert irrelevant.facets == (0,) and not irrelevant.is_void
         assert void.dimension is None
         assert irrelevant.dimension == -1
 

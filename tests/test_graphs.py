@@ -10,7 +10,6 @@ from compedge.graphs import (
     IsolatedVertexError,
     ParseError,
     ValidationError,
-    complement,
     connected_components,
     emit_graph,
     is_chordal,
@@ -18,7 +17,6 @@ from compedge.graphs import (
     is_connected,
     is_disjoint_union_of_edges,
     is_forest,
-    is_tree,
     is_triangle_free,
     mask_of,
     parse_graph,
@@ -31,6 +29,7 @@ from helpers import (
     all_graphs,
     brute_is_chordal,
     brute_triangle_count,
+    complement,
     complete,
     cycle,
     graph,
@@ -173,8 +172,8 @@ class TestComponentsAndPredicates:
         assert not is_disjoint_union_of_edges(path(4))
 
     def test_tree_and_forest(self):
-        assert is_tree(path(4))
-        assert is_forest(two_k2()) and not is_tree(two_k2())
+        assert is_forest(path(4)) and is_connected(path(4))
+        assert is_forest(two_k2()) and not is_connected(two_k2())
         assert not is_forest(cycle(4))
 
     def test_triangle_free(self):
@@ -220,6 +219,8 @@ class TestTriangles:
 
 
 class TestComplement:
+    """The complement fixture in helpers, which other tests build on."""
+
     def test_complement_k4_edgeless(self):
         assert complement(complete(4)).edge_count() == 0
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compedge.graphs import complement, mask_of, vertices_of
+from compedge.graphs import mask_of, vertices_of
 from compedge.ideals import (
     NoOrderExistsError,
     NotEquigeneratedError,
@@ -18,7 +18,6 @@ from compedge.ideals import (
     height,
     is_linear_quotient_order,
     is_linearly_related,
-    is_unmixed,
     lcm_graph,
     lcm_lattice,
     linear_quotient_order,
@@ -33,6 +32,7 @@ from helpers import (
     brute_has_linear_quotient_order,
     brute_lcm_lattice,
     brute_minimal_transversals,
+    complement,
     complete,
     cycle,
     graph,
@@ -164,9 +164,13 @@ class TestHeightUnmixed:
         assert height(complementary_edge_ideal(two_k2())) == 2
 
     def test_unmixed(self):
-        assert is_unmixed(complementary_edge_ideal(cycle(4)))
-        assert not is_unmixed(complementary_edge_ideal(paw()))
-        assert is_unmixed(complementary_edge_ideal(complete(5)))
+        # unmixed: all minimal primes have the same height
+        def heights(G):
+            return {p.bit_count() for p in minimal_primes(complementary_edge_ideal(G))}
+
+        assert heights(cycle(4)) == {2}
+        assert heights(paw()) == {2, 3}
+        assert heights(complete(5)) == {3}
 
 
 class TestAlexanderDual:
