@@ -59,7 +59,6 @@ from .ideals import (
     complementary_edge_ideal,
     degree_component,
     height,
-    is_linear_quotient_order,
     is_linearly_related,
     lcm_graph,
     linear_quotient_order,

@@ -27,7 +27,6 @@ from .homology import FieldSpec, homology_dims_of_facets
 from .ideals import (
     SqfIdeal,
     ZeroIdealError,
-    alexander_dual,
     degree_component,
     greedy_linear_quotient_order,
     lcm_lattice,
@@ -313,10 +312,11 @@ def is_gorenstein(table: BettiTable, height: int) -> bool:
 def ring_properties(
     I: SqfIdeal,
     field: FieldSpec,
-    table: BettiTable | None = None,
-    dual: SqfIdeal | None = None,
+    table: BettiTable,
+    dual: SqfIdeal,
 ) -> PropertyReport:
-    """Resolution shape and ring-theoretic classifications of S/I.
+    """Resolution shape and ring-theoretic classifications of S/I, read
+    off I's Betti ``table`` over ``field`` and its Alexander ``dual``.
 
     Cohen-Macaulayness is tested as pd(I) + 1 equal to the height, the
     last resolution step decides Gorenstein (total rank one) and level
@@ -325,10 +325,6 @@ def ring_properties(
     """
     if I.is_zero:
         raise ZeroIdealError("ring properties of the zero ideal are undefined")
-    if table is None:
-        table = koszul_betti(I, field)
-    if dual is None:
-        dual = alexander_dual(I)
     pd = table.pd
     reg = table.reg
     d = min(I.degrees())

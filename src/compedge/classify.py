@@ -40,8 +40,6 @@ MODE_CORRECTED = "corrected"
 MODE_PAPER_LITERAL = "paper-literal"
 MODES = (MODE_CORRECTED, MODE_PAPER_LITERAL)
 
-EXHAUSTIVE_ORDER_SEARCH_LIMIT = 12
-
 
 @dataclass
 class ClassificationReport:
@@ -166,15 +164,6 @@ def _lcm_graph_matches_line_graph(G: Graph, I: idl.SqfIdeal) -> bool:
     return True
 
 
-def _linear_quotients_exist(G: Graph, I: idl.SqfIdeal, connected: bool) -> bool:
-    # the constructive order exists only for connected graphs
-    if connected:
-        return idl.linear_quotient_order(G).is_valid_for(I)
-    if len(I.gens) <= EXHAUSTIVE_ORDER_SEARCH_LIMIT:
-        return idl.has_linear_quotient_order(I)
-    return False
-
-
 def _forest_betti_shape(table: BettiTable, n: int, c: int, duoe: bool) -> tuple[dict, dict]:
     predicted = {
         "rank_0": n - c,
@@ -249,10 +238,15 @@ def analyze_graph(
 
     add("linear_resolution_iff_connected", cls.connected, props.linear_resolution)
     add("linearly_related_iff_connected", cls.connected, idl.is_linearly_related(I))
+    # u_f = [n] \ f appended to a nonempty prefix has colon generators
+    # f \ e: all of f when e misses f, one variable of f when e meets f.
+    # So u_f qualifies iff some earlier pair meets f, an order exists iff
+    # the "meets" relation on the pairs is connected, and then the greedy
+    # never gets stuck: its None proves that no order exists.
     add(
         "linear_quotients_iff_connected",
         cls.connected,
-        _linear_quotients_exist(G, I, cls.connected),
+        idl.greedy_linear_quotient_order(I) is not None,
     )
 
     add("betti_positions", True, betti_positions_check(table))

@@ -26,9 +26,6 @@ from .graphs import (
 )
 
 
-ORDER_SEARCH_LIMIT = 20
-
-
 class IdealError(Exception):
     """Base class for ideal-level failures."""
 
@@ -234,30 +231,42 @@ def lcm_lattice(gens) -> list[int]:
 
 def is_linearly_related(I: SqfIdeal) -> bool:
     """First syzygies linear: every generator pair is joined by a path of
-    generators dividing the pair's lcm, adjacency meaning lcm degree d + 1."""
+    generators dividing the pair's lcm, adjacency meaning lcm degree d + 1.
+
+    Pairs are grouped by their lcm: for each distinct lcm the components
+    of the lcm graph on the generators dividing it are found once, and a
+    pair is joined iff one end lies in the other's component."""
     adj = lcm_graph(I)
     masks = I.gens
     m = len(masks)
+    d = masks[0].bit_count()
+    # lcm -> {a: mask of the b > a whose pair with a has that lcm}
+    pairs_by_lcm: dict[int, dict[int, int]] = {}
     for a in range(m):
         for b in range(a + 1, m):
             target = masks[a] | masks[b]
-            if target.bit_count() == masks[a].bit_count() + 1:
-                continue
-            allowed = 0
-            for w in range(m):
-                if masks[w] & ~target == 0:
-                    allowed |= 1 << w
-            reach = 1 << a
-            frontier = reach
-            goal = 1 << b
-            while frontier and not reach & goal:
+            if target.bit_count() > d + 1:
+                rows = pairs_by_lcm.setdefault(target, {})
+                rows[a] = rows.get(a, 0) | 1 << b
+    component = [0] * m
+    for target, rows in pairs_by_lcm.items():
+        unseen = 0
+        for w in range(m):
+            if masks[w] & ~target == 0:
+                unseen |= 1 << w
+        while unseen:
+            comp = frontier = unseen & -unseen
+            while frontier:
                 nxt = 0
                 for w in iter_bits(frontier):
                     nxt |= adj[w]
-                frontier = nxt & allowed & ~reach
-                reach |= frontier
-            if not reach & goal:
-                return False
+                frontier = nxt & unseen & ~comp
+                comp |= frontier
+            unseen &= ~comp
+            for w in iter_bits(comp):
+                component[w] = comp
+        if any(bs & ~component[a] for a, bs in rows.items()):
+            return False
     return True
 
 
@@ -301,14 +310,6 @@ class MonomialOrderCert:
             return False
         steps = tuple(_colon_steps(self.order))
         return steps == self.colon_steps and all(map(_generated_by_variables, steps))
-
-
-def is_linear_quotient_order(I: SqfIdeal, order) -> bool:
-    """Check that successive colon ideals are generated by variables."""
-    seq = list(order)
-    if sorted(seq, key=support_sort_key) != list(I.gens):
-        raise ValueError("order is not a permutation of the generators")
-    return all(map(_generated_by_variables, _colon_steps(seq)))
 
 
 def linear_quotient_order(G: Graph) -> MonomialOrderCert:
@@ -364,36 +365,3 @@ def greedy_linear_quotient_order(I: SqfIdeal) -> tuple[int, ...] | None:
         else:
             return None
     return tuple(order)
-
-
-def has_linear_quotient_order(I: SqfIdeal) -> bool:
-    """Exhaustive decision over all generator orderings.
-
-    Whether step i is admissible depends only on the set of earlier
-    generators, so searching reachable prefix sets visits every ordering's
-    state space; with m generators that is at most 2^m states.
-    """
-    masks = I.gens
-    m = len(masks)
-    if m > ORDER_SEARCH_LIMIT:
-        raise ValueError(
-            f"exhaustive order search capped at {ORDER_SEARCH_LIMIT} generators"
-        )
-    full = (1 << m) - 1
-    reach = {0}
-    frontier = [0]
-    while frontier:
-        state = frontier.pop()
-        prefix = [masks[i] for i in iter_bits(state)]
-        for i in range(m):
-            if state >> i & 1:
-                continue
-            nxt = state | 1 << i
-            if nxt in reach:
-                continue
-            if _generated_by_variables(colon_min_gens(prefix, masks[i])):
-                if nxt == full:
-                    return True
-                reach.add(nxt)
-                frontier.append(nxt)
-    return m == 0

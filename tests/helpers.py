@@ -274,11 +274,70 @@ def brute_is_componentwise_linear(I, field) -> bool:
 # -------------------------------------------------------- quotient orders
 
 
+def brute_colon_is_linear(prefix, u) -> bool:
+    """Whether (prefix) : u is generated by variables.  Its generators are
+    the differences p minus u; each must be a multiple of a difference
+    that is a single variable."""
+    differences = [p & ~u for p in prefix]
+    variables = [q for q in differences if bin(q).count("1") == 1]
+    return all(any(v & q for v in variables) for q in differences)
+
+
+def has_linear_quotient_order(I) -> bool:
+    """Search over prefix sets.  Whether a generator may come next depends
+    only on the set of earlier generators, so the reachable prefix sets
+    cover every ordering: at most 2^m states for m generators."""
+    masks = I.gens
+    m = len(masks)
+    full = (1 << m) - 1
+    reach = {0}
+    frontier = [0]
+    while frontier:
+        state = frontier.pop()
+        prefix = [masks[i] for i in range(m) if state >> i & 1]
+        for i in range(m):
+            nxt = state | 1 << i
+            if nxt == state or nxt in reach:
+                continue
+            if brute_colon_is_linear(prefix, masks[i]):
+                if nxt == full:
+                    return True
+                reach.add(nxt)
+                frontier.append(nxt)
+    return m == 0
+
+
 def brute_has_linear_quotient_order(I) -> bool:
     """Literal scan over every permutation of the generators."""
-    from compedge.ideals import is_linear_quotient_order
-
     for perm in permutations(I.gens):
-        if is_linear_quotient_order(I, list(perm)):
+        if all(brute_colon_is_linear(perm[:k], perm[k]) for k in range(len(perm))):
             return True
     return False
+
+
+# ------------------------------------------------------- linear relations
+
+
+def brute_is_linearly_related(I) -> bool:
+    """Per pair: a path from one generator to the other through
+    generators dividing the pair's lcm, each step an lcm of degree d + 1."""
+    gens = list(I.gens)
+    d = bin(gens[0]).count("1")
+
+    def adjacent(a, b):
+        return bin(a | b).count("1") == d + 1
+
+    for a, b in combinations(gens, 2):
+        target = a | b
+        allowed = [g for g in gens if g | target == target]
+        seen = {a}
+        stack = [a]
+        while stack:
+            x = stack.pop()
+            for y in allowed:
+                if y not in seen and adjacent(x, y):
+                    seen.add(y)
+                    stack.append(y)
+        if b not in seen:
+            return False
+    return True

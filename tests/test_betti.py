@@ -25,7 +25,6 @@ from compedge.ideals import (
     alexander_dual,
     complementary_edge_ideal,
     degree_component,
-    has_linear_quotient_order,
 )
 from conftest import random_graphs_min_degree_one
 from helpers import (
@@ -33,6 +32,7 @@ from helpers import (
     brute_is_componentwise_linear,
     complete,
     cycle,
+    has_linear_quotient_order,
     has_linear_resolution,
     path,
     paw,
@@ -276,20 +276,24 @@ class TestPositions:
             koszul_betti(SqfIdeal(4, ()), GF2)
 
 
+def _ring_properties_gf2(I):
+    return ring_properties(I, GF2, koszul_betti(I, GF2), alexander_dual(I))
+
+
 class TestRingProperties:
     def test_two_k2_complete_intersection(self):
-        props = ring_properties(complementary_edge_ideal(two_k2()), GF2)
+        props = _ring_properties_gf2(complementary_edge_ideal(two_k2()))
         assert props.gorenstein and props.level and props.cohen_macaulay
         assert props.pure_resolution and not props.linear_resolution
         assert props.unmixed
 
     def test_k4_level_not_gorenstein(self):
-        props = ring_properties(complementary_edge_ideal(complete(4)), GF2)
+        props = _ring_properties_gf2(complementary_edge_ideal(complete(4)))
         assert props.cohen_macaulay and props.level
         assert not props.gorenstein
 
     def test_c4(self):
-        props = ring_properties(complementary_edge_ideal(cycle(4)), GF2)
+        props = _ring_properties_gf2(complementary_edge_ideal(cycle(4)))
         assert props.linear_resolution
         assert not props.cohen_macaulay
         assert props.unmixed
@@ -297,7 +301,7 @@ class TestRingProperties:
         assert not props.sequentially_cm
 
     def test_paw_chordal_dual(self):
-        props = ring_properties(complementary_edge_ideal(paw()), GF2)
+        props = _ring_properties_gf2(complementary_edge_ideal(paw()))
         assert props.componentwise_linear_dual
         assert not props.unmixed
 
@@ -309,7 +313,7 @@ class TestRingProperties:
     @settings(max_examples=50, deadline=None)
     @given(random_graphs_min_degree_one(4, 6))
     def test_implications(self, G):
-        props = ring_properties(complementary_edge_ideal(G), GF2)
+        props = _ring_properties_gf2(complementary_edge_ideal(G))
         if props.linear_resolution:
             assert props.pure_resolution
         if props.gorenstein:
@@ -321,7 +325,7 @@ class TestRingProperties:
     @settings(max_examples=50, deadline=None)
     @given(random_graphs_min_degree_one(4, 6))
     def test_connectivity_and_chordality_read_off_the_table(self, G):
-        props = ring_properties(complementary_edge_ideal(G), GF2)
+        props = _ring_properties_gf2(complementary_edge_ideal(G))
         assert props.linear_resolution == is_connected(G)
         assert props.componentwise_linear_dual == is_chordal(G)
 

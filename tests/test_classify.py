@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 
@@ -92,6 +93,15 @@ class TestVerify:
     def test_fields_other_than_gf2(self):
         for field in (GF3, QQ):
             assert verify_graph(p3_union_k2(), field).all_match()
+
+    def test_k5_union_k3_computes_that_no_order_exists(self):
+        # 13 generators; the greedy order decides without a generator cap
+        G = graph(8, *combinations(range(1, 6), 2), (6, 7), (6, 8), (7, 8))
+        record = analyze_graph(G)
+        assert len(record.ideal.gens) == 13
+        assert record.consistency.all_match(), record.consistency.mismatches
+        claim = record.consistency.claims["linear_quotients_iff_connected"]
+        assert claim["computed"] is False
 
     def test_record_holds_what_the_claims_were_computed_from(self):
         record = analyze_graph(paw(), GF3)

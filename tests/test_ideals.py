@@ -1,11 +1,14 @@
 """Ideal construction, minimal primes, duality, and quotient orders."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compedge.graphs import mask_of, vertices_of
 from compedge.ideals import (
+    MonomialOrderCert,
     NoOrderExistsError,
     NotEquigeneratedError,
     SqfIdeal,
@@ -14,9 +17,8 @@ from compedge.ideals import (
     colon_min_gens,
     complementary_edge_ideal,
     degree_component,
-    has_linear_quotient_order,
+    greedy_linear_quotient_order,
     height,
-    is_linear_quotient_order,
     is_linearly_related,
     lcm_graph,
     lcm_lattice,
@@ -30,12 +32,14 @@ from conftest import random_graphs_min_degree_one
 from helpers import (
     brute_canonical_key,
     brute_has_linear_quotient_order,
+    brute_is_linearly_related,
     brute_lcm_lattice,
     brute_minimal_transversals,
     complement,
     complete,
     cycle,
     graph,
+    has_linear_quotient_order,
     path,
     paw,
     p3_union_k2,
@@ -281,11 +285,38 @@ class TestLcmLattice:
         assert len(lattice) <= len(I.gens) + G.n + 1
 
 
+@st.composite
+def equigenerated_ideals(draw):
+    """1..12 distinct d-subsets of 3..8 variables, 1 <= d < n, so that
+    pairs of generators have lcms of several different degrees."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    d = draw(st.integers(min_value=1, max_value=n - 1))
+    subsets = [sum(1 << v for v in c) for c in combinations(range(n), d)]
+    gens = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=12))
+    return SqfIdeal.from_supports(n, gens)
+
+
 class TestLinearlyRelated:
     def test_examples(self):
         assert is_linearly_related(complementary_edge_ideal(path(4)))
         assert not is_linearly_related(complementary_edge_ideal(two_k2()))
         assert is_linearly_related(complementary_edge_ideal(cycle(5)))
+
+    def test_two_lcms_one_unjoined(self):
+        # x1x2, x2x3 and x3x4 are joined inside x1x2x3x4, but x1x2 and
+        # x4x5 meet only at x1x2x4x5, which no other generator divides
+        I = SqfIdeal.from_supports(5, [mask_of(e) for e in ([1, 2], [2, 3], [3, 4], [4, 5])])
+        assert not is_linearly_related(I)
+        assert is_linearly_related(SqfIdeal.from_supports(5, I.gens[:3]))
+
+    def test_large_complete_graphs(self):
+        assert is_linearly_related(complementary_edge_ideal(complete(30)))
+        two_k15 = graph(
+            30,
+            *combinations(range(1, 16), 2),
+            *combinations(range(16, 31), 2),
+        )
+        assert not is_linearly_related(complementary_edge_ideal(two_k15))
 
     @settings(max_examples=80, deadline=None)
     @given(random_graphs_min_degree_one(4, 6))
@@ -295,6 +326,11 @@ class TestLinearlyRelated:
         I = complementary_edge_ideal(G)
         assert is_linearly_related(I) == is_connected(G)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(equigenerated_ideals())
+    def test_matches_the_per_pair_search(self, I):
+        assert is_linearly_related(I) == brute_is_linearly_related(I)
+
 
 class TestLinearQuotients:
     def test_p4_certificate(self):
@@ -303,7 +339,6 @@ class TestLinearQuotients:
         assert cert.colon_variables() == [(), (3,), (4,)]
         I = complementary_edge_ideal(path(4))
         assert cert.is_valid_for(I)
-        assert is_linear_quotient_order(I, cert.order)
 
     def test_star_certificate(self):
         cert = linear_quotient_order(graph(4, (1, 2), (1, 3), (1, 4)))
@@ -322,17 +357,19 @@ class TestLinearQuotients:
         assert colon_min_gens([mask_of([1, 2])], mask_of([3, 4])) == (
             mask_of([1, 2]),
         )
-        assert not is_linear_quotient_order(I, bad)
+        steps = tuple(colon_min_gens(bad[:i], bad[i]) for i in range(len(bad)))
+        assert not MonomialOrderCert(tuple(bad), steps).is_valid_for(I)
 
     def test_two_k2_no_order_at_all(self):
         I = complementary_edge_ideal(two_k2())
+        assert greedy_linear_quotient_order(I) is None
         assert not has_linear_quotient_order(I)
         assert not brute_has_linear_quotient_order(I)
 
     def test_non_permutation_rejected(self):
         I = complementary_edge_ideal(path(4))
-        with pytest.raises(ValueError):
-            is_linear_quotient_order(I, I.gens[:2])
+        cert = linear_quotient_order(path(4))
+        assert not MonomialOrderCert(cert.order[:2], cert.colon_steps[:2]).is_valid_for(I)
 
     @settings(max_examples=60, deadline=None)
     @given(random_graphs_min_degree_one(4, 5))
@@ -341,6 +378,22 @@ class TestLinearQuotients:
         if len(I.gens) > 6:
             return
         assert has_linear_quotient_order(I) == brute_has_linear_quotient_order(I)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_greedy_decides_edge_complement_families(self, data):
+        # families of (n-2)-subsets: the ideals of graphs with isolated
+        # vertices allowed; a greedy dead end must mean no order at all
+        n = data.draw(st.integers(min_value=4, max_value=8))
+        full = (1 << n) - 1
+        pairs = [1 << a | 1 << b for a, b in combinations(range(n), 2)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=10))
+        I = SqfIdeal.from_supports(n, [full ^ p for p in chosen])
+        order = greedy_linear_quotient_order(I)
+        assert (order is not None) == has_linear_quotient_order(I)
+        if order is not None:
+            steps = tuple(colon_min_gens(order[:i], order[i]) for i in range(len(order)))
+            assert MonomialOrderCert(order, steps).is_valid_for(I)
 
     @settings(max_examples=80, deadline=None)
     @given(random_graphs_min_degree_one(4, 6))
