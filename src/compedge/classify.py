@@ -151,8 +151,9 @@ def _expected_dual_supports(G: Graph) -> list[int]:
     return sorted(g.nonedge_masks(G) + g.triangles(G), key=idl.support_sort_key)
 
 
-def _lcm_graph_matches_line_graph(G: Graph, I: idl.SqfIdeal) -> bool:
-    adj = idl.lcm_graph(I)
+def _lcm_graph_matches_line_graph(
+    G: Graph, I: idl.SqfIdeal, adj: tuple[int, ...]
+) -> bool:
     full = G.full_mask
     edge_of = [full ^ s for s in I.gens]
     m = len(edge_of)
@@ -234,10 +235,19 @@ def analyze_graph(
         True,
         stanley_reisner_ideal(gamma_complex(G)) == I,
     )
-    add("lcm_graph_is_line_graph", True, _lcm_graph_matches_line_graph(G, I))
+    lcm_rows = idl.lcm_graph(I)
+    add(
+        "lcm_graph_is_line_graph",
+        True,
+        _lcm_graph_matches_line_graph(G, I, lcm_rows),
+    )
 
     add("linear_resolution_iff_connected", cls.connected, props.linear_resolution)
-    add("linearly_related_iff_connected", cls.connected, idl.is_linearly_related(I))
+    add(
+        "linearly_related_iff_connected",
+        cls.connected,
+        idl.is_linearly_related(I, lcm_rows),
+    )
     # u_f = [n] \ f appended to a nonempty prefix has colon generators
     # f \ e: all of f when e misses f, one variable of f when e meets f.
     # So u_f qualifies iff some earlier pair meets f, an order exists iff

@@ -306,7 +306,7 @@ def run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except (GraphError, idl.IdealError, ValueError) as exc:
+    except (GraphError, idl.IdealError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

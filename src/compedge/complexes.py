@@ -102,7 +102,7 @@ def stanley_reisner_ideal(cx: SimplicialComplex) -> SqfIdeal:
     facet complements.
     """
     full = (1 << cx.n) - 1
-    gens = minimal_transversals([full ^ f for f in cx.facets], full)
+    gens = minimal_transversals(full ^ f for f in cx.facets)
     return SqfIdeal.from_supports(cx.n, gens)
 
 

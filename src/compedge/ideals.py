@@ -7,9 +7,10 @@ equal ideals compare equal structurally.
 
 The central constructions here: the ideal with one degree n-2 generator
 per graph edge (each generator is the product of all variables except the
-edge's endpoints), minimal primes via minimal-transversal enumeration,
-Alexander duality, the lcm graph of an equigenerated ideal, the lcm
-lattice, and linear quotient orders with verifiable colon certificates.
+edge's endpoints), minimal transversals by Berge's one-support-at-a-time
+algorithm and through them minimal primes and Alexander duality, the lcm
+graph of an equigenerated ideal, the lcm lattice, and linear quotient
+orders with verifiable colon certificates.
 """
 
 from __future__ import annotations
@@ -119,40 +120,27 @@ def complementary_edge_ideal(G: Graph) -> SqfIdeal:
     return SqfIdeal.from_supports(G.n, supports)
 
 
-def minimal_transversals(supports, universe: int) -> list[int]:
+def minimal_transversals(supports) -> list[int]:
     """Inclusion-minimal hitting sets of a family of vertex masks.
 
-    Scans subsets of the union of the supports by increasing cardinality;
-    candidates containing an already found transversal are pruned, and the
-    scan stops at the first cardinality where every candidate was pruned
-    (every larger set then contains a found transversal too).
+    Berge's algorithm: start from the empty set and take the supports one
+    at a time.  For a support s, the sets that already hit s stay; every
+    other set t is extended by each vertex of s, and an extension is
+    dropped only when it contains a set that already hit s.  No two
+    extensions contain each other: t | v inside t' | v' forces v == v'
+    (t' misses s), then t inside t', so t == t' in the antichain.
+
+    The supports go smallest first.  A support multiplies each set that
+    misses it by its size, and small supports leave few sets missing the
+    large ones: the Stanley-Reisner ideal of a G(30, 0.4) graph's complex
+    peaks at 8,705 intermediate sets when its triangles come before its
+    nonedges.
     """
-    supports = list(supports)
-    if any(s == 0 for s in supports):
-        return []
-    if not supports:
-        return [0]
-    union = 0
-    for s in supports:
-        union |= s
-    bits = list(iter_bits(union & universe))
-    found: list[int] = []
-    for k in range(1, len(bits) + 1):
-        all_pruned = True
-        for combo in combinations(bits, k):
-            m = 0
-            for b in combo:
-                m |= 1 << b
-            if any(t & m == t for t in found):
-                continue
-            all_pruned = False
-            for s in supports:
-                if not s & m:
-                    break
-            else:
-                found.append(m)
-        if all_pruned:
-            break
+    found = [0]
+    for s in sorted(supports, key=int.bit_count):
+        hit = [t for t in found if t & s]
+        extended = [t | 1 << v for t in found if not t & s for v in iter_bits(s)]
+        found = hit + [e for e in extended if not any(h & ~e == 0 for h in hit)]
     return found
 
 
@@ -160,9 +148,7 @@ def minimal_primes(I: SqfIdeal) -> list[int]:
     """Vertex masks T of the minimal primes (x_i : i in T), sorted by size."""
     if I.is_zero:
         raise ZeroIdealError("zero ideal has no minimal primes over itself")
-    full = (1 << I.n) - 1
-    trs = minimal_transversals(I.gens, full)
-    return sorted(trs, key=support_sort_key)
+    return sorted(minimal_transversals(I.gens), key=support_sort_key)
 
 
 def height(I: SqfIdeal) -> int:
@@ -229,14 +215,14 @@ def lcm_lattice(gens) -> list[int]:
     return sorted(elements)
 
 
-def is_linearly_related(I: SqfIdeal) -> bool:
+def is_linearly_related(I: SqfIdeal, adj: tuple[int, ...]) -> bool:
     """First syzygies linear: every generator pair is joined by a path of
     generators dividing the pair's lcm, adjacency meaning lcm degree d + 1.
+    ``adj`` is ``lcm_graph(I)``, which the caller builds once.
 
     Pairs are grouped by their lcm: for each distinct lcm the components
     of the lcm graph on the generators dividing it are found once, and a
     pair is joined iff one end lies in the other's component."""
-    adj = lcm_graph(I)
     masks = I.gens
     m = len(masks)
     d = masks[0].bit_count()

@@ -151,7 +151,7 @@ def brute_triangle_count(G: Graph) -> int:
 def brute_minimal_transversals(supports, n) -> list[int]:
     """All subsets filtered for the hitting property, then antichain-reduced."""
     hitting = []
-    for mask in range(1, 1 << n):
+    for mask in range(1 << n):
         if all(s & mask for s in supports):
             hitting.append(mask)
     minimal = [

@@ -137,6 +137,14 @@ class TestAnalyzeRunsNoHochsterSum:
         assert record.consistency.all_match(), record.consistency.mismatches
         assert not record.properties.componentwise_linear_dual
 
+    def test_sixty_two_cycle_with_two_chords(self):
+        # minimal primes, the second dual and the Stanley-Reisner ideal
+        # each need the minimal transversals of 62-vertex families
+        G = graph(62, (1, 31), (2, 34), (1, 62), *[(i, i + 1) for i in range(1, 62)])
+        record = analyze_graph(G)
+        assert record.consistency.all_match(), record.consistency.mismatches
+        assert len(record.primes) == 1827  # the nonedges; no triangles
+
 
 def canonical_digest(report) -> str:
     text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)

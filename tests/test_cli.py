@@ -49,6 +49,12 @@ class TestAnalyze:
         # triangle: standing assumptions fail
         assert run(["analyze", "Bw"]) == 2
 
+    def test_unwritable_out_exit_two(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "x.json"
+        assert run(["analyze", "C~", "--out", str(out_file)]) == 2
+        _, err = capture(capsys)
+        assert err.startswith("error: ") and str(out_file) in err
+
 
 class TestBetti:
     def test_text(self, capsys):
@@ -153,6 +159,12 @@ class TestSweepCommand:
         assert run(["sweep", "--n", "6..7"]) == 2
         _, err = capture(capsys)
         assert "4 <= n_min <= n_max <= 6" in err
+
+    def test_unwritable_out_exit_two(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "x.json"
+        assert run(["sweep", "--n", "4..4", "--out", str(out_file)]) == 2
+        _, err = capture(capsys)
+        assert "error: " in err and str(out_file) in err
 
     def test_unparsable_range_is_a_usage_error(self, capsys):
         assert run(["sweep", "--n", "four"]) == 1

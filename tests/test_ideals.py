@@ -3,7 +3,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compedge.graphs import mask_of, vertices_of
@@ -103,6 +103,15 @@ class TestCanonicalOrder:
         )
 
 
+@st.composite
+def families(draw):
+    """0..7 masks over 1..8 variables in any order; duplicates, nested
+    supports, the empty support and the empty family all occur."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    masks = st.integers(min_value=0, max_value=(1 << n) - 1)
+    return n, draw(st.lists(masks, max_size=7))
+
+
 class TestMinimalPrimes:
     def test_two_k2(self):
         I = complementary_edge_ideal(two_k2())
@@ -158,7 +167,18 @@ class TestMinimalPrimes:
                 assert a & s
 
     def test_transversals_empty_support(self):
-        assert minimal_transversals([0b0], 0b1111) == []
+        assert minimal_transversals([0b0]) == []
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(families())
+    @example((3, []))
+    @example((3, [0b011, 0b0]))
+    @example((4, [0b1111, 0b0110, 0b0010, 0b0110]))
+    def test_transversals_of_general_families(self, family):
+        n, supports = family
+        assert sorted(minimal_transversals(supports)) == sorted(
+            brute_minimal_transversals(supports, n)
+        )
 
 
 class TestHeightUnmixed:
@@ -253,8 +273,9 @@ class TestLcmGraph:
         G = complement(graph(12, (1, 2), (3, 4), (5, 6)))
         I = complementary_edge_ideal(G)
         assert len(I.gens) == 63
-        assert lcm_graph(I) == line_graph_rows(G, I)
-        assert is_linearly_related(I)
+        rows = lcm_graph(I)
+        assert rows == line_graph_rows(G, I)
+        assert is_linearly_related(I, rows)
 
     def test_non_equigenerated_rejected(self):
         I = SqfIdeal.from_supports(4, [0b0011, 0b1110])
@@ -298,25 +319,28 @@ def equigenerated_ideals(draw):
 
 class TestLinearlyRelated:
     def test_examples(self):
-        assert is_linearly_related(complementary_edge_ideal(path(4)))
-        assert not is_linearly_related(complementary_edge_ideal(two_k2()))
-        assert is_linearly_related(complementary_edge_ideal(cycle(5)))
+        for G, related in ((path(4), True), (two_k2(), False), (cycle(5), True)):
+            I = complementary_edge_ideal(G)
+            assert is_linearly_related(I, lcm_graph(I)) == related
 
     def test_two_lcms_one_unjoined(self):
         # x1x2, x2x3 and x3x4 are joined inside x1x2x3x4, but x1x2 and
         # x4x5 meet only at x1x2x4x5, which no other generator divides
         I = SqfIdeal.from_supports(5, [mask_of(e) for e in ([1, 2], [2, 3], [3, 4], [4, 5])])
-        assert not is_linearly_related(I)
-        assert is_linearly_related(SqfIdeal.from_supports(5, I.gens[:3]))
+        assert not is_linearly_related(I, lcm_graph(I))
+        J = SqfIdeal.from_supports(5, I.gens[:3])
+        assert is_linearly_related(J, lcm_graph(J))
 
     def test_large_complete_graphs(self):
-        assert is_linearly_related(complementary_edge_ideal(complete(30)))
+        K30 = complementary_edge_ideal(complete(30))
+        assert is_linearly_related(K30, lcm_graph(K30))
         two_k15 = graph(
             30,
             *combinations(range(1, 16), 2),
             *combinations(range(16, 31), 2),
         )
-        assert not is_linearly_related(complementary_edge_ideal(two_k15))
+        I = complementary_edge_ideal(two_k15)
+        assert not is_linearly_related(I, lcm_graph(I))
 
     @settings(max_examples=80, deadline=None)
     @given(random_graphs_min_degree_one(4, 6))
@@ -324,12 +348,12 @@ class TestLinearlyRelated:
         from compedge.graphs import is_connected
 
         I = complementary_edge_ideal(G)
-        assert is_linearly_related(I) == is_connected(G)
+        assert is_linearly_related(I, lcm_graph(I)) == is_connected(G)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(equigenerated_ideals())
     def test_matches_the_per_pair_search(self, I):
-        assert is_linearly_related(I) == brute_is_linearly_related(I)
+        assert is_linearly_related(I, lcm_graph(I)) == brute_is_linearly_related(I)
 
 
 class TestLinearQuotients:
