@@ -28,8 +28,8 @@ from .ideals import (
     SqfIdeal,
     ZeroIdealError,
     degree_component,
-    greedy_linear_quotient_order,
     lcm_lattice,
+    linear_quotient_order,
 )
 
 
@@ -296,7 +296,7 @@ def is_componentwise_linear(I: SqfIdeal, field: FieldSpec) -> bool:
             continue
         if j == 2 and _nonlinear_witness(comp, field):
             return False
-        if greedy_linear_quotient_order(comp) is not None:
+        if linear_quotient_order(comp) is not None:
             continue
         if any(b != a + j for a, b in hochster_betti(comp, field).entries):
             return False

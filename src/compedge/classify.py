@@ -188,7 +188,6 @@ class GraphAnalysis:
 
     graph: Graph
     ideal: idl.SqfIdeal
-    primes: list[int]
     dual: idl.SqfIdeal
     table: BettiTable
     properties: PropertyReport
@@ -204,8 +203,7 @@ def analyze_graph(
     """Compute everything honestly and compare with the predictions."""
     cls = classify_graph(G, mode)
     I = idl.complementary_edge_ideal(G)
-    primes = idl.minimal_primes(I)
-    dual = idl.SqfIdeal.from_supports(G.n, primes)
+    dual = idl.alexander_dual(I)
     table = koszul_betti(I, field)
     props = ring_properties(I, field, table=table, dual=dual)
     n = G.n
@@ -220,8 +218,8 @@ def analyze_graph(
         }
 
     expected_primes = _expected_dual_supports(G)
-    add("minimal_primes", _masks_json(expected_primes), _masks_json(primes))
-    add("height", 3 if cls.complete else 2, min(p.bit_count() for p in primes))
+    add("minimal_primes", _masks_json(expected_primes), _masks_json(dual.gens))
+    add("height", 3 if cls.complete else 2, min(p.bit_count() for p in dual.gens))
     add("unmixed", cls.unmixed, props.unmixed)
 
     add(
@@ -256,7 +254,7 @@ def analyze_graph(
     add(
         "linear_quotients_iff_connected",
         cls.connected,
-        idl.greedy_linear_quotient_order(I) is not None,
+        idl.linear_quotient_order(I) is not None,
     )
 
     add("betti_positions", True, betti_positions_check(table))
@@ -289,7 +287,7 @@ def analyze_graph(
         mode=mode,
         claims=claims,
     )
-    return GraphAnalysis(G, I, primes, dual, table, props, cls, consistency)
+    return GraphAnalysis(G, I, dual, table, props, cls, consistency)
 
 
 def verify_graph(

@@ -14,7 +14,7 @@ import sys
 from . import classify as cf
 from . import ideals as idl
 from .betti import hochster_betti, koszul_betti
-from .graphs import GraphError, emit_graph, parse_graph
+from .graphs import GraphError, connected_components, emit_graph, parse_graph, vertices_of
 from .homology import GF2, GF3, QQ, FieldSpec
 
 ANALYSIS_SCHEMA = "compedge/analysis/1"
@@ -98,7 +98,7 @@ def build_analysis_document(record: cf.GraphAnalysis, cross_check) -> dict:
             "edges": [list(e) for e in G.edges()],
         },
         "ideal": {"generators": record.ideal.generator_strings()},
-        "minimal_primes": [idl.monomial_str(p) for p in record.primes],
+        "minimal_primes": [idl.monomial_str(p) for p in record.dual.gens],
         "alexander_dual": _dual_block(record.dual),
         "betti": table.to_json_dict(),
         "properties": record.properties.to_json_dict(),
@@ -202,9 +202,10 @@ def _cmd_dual(args) -> int:
 
 def _cmd_order(args) -> int:
     G = _load_graph(args)
-    try:
-        cert = idl.linear_quotient_order(G)
-    except idl.NoOrderExistsError as exc:
+    cert = idl.linear_quotient_order(idl.complementary_edge_ideal(G))
+    if cert is None:
+        # the greedy's None proves that no order exists for a graph's ideal
+        components = [list(vertices_of(c)) for c in connected_components(G)]
         if args.as_json:
             _emit(
                 args,
@@ -212,13 +213,14 @@ def _cmd_order(args) -> int:
                     {
                         "graph6": emit_graph(G),
                         "order": None,
-                        "components": [list(c) for c in exc.components],
+                        "components": components,
                     },
                     sort_keys=True,
                 ),
             )
         else:
-            _emit(args, str(exc))
+            parts = ", ".join("{" + ",".join(map(str, c)) + "}" for c in components)
+            _emit(args, f"NoOrderExists: components {parts}")
         return EXIT_OK
     steps = [
         [f"x{v}" for v in step] for step in cert.colon_variables()

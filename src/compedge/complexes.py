@@ -20,8 +20,6 @@ from .ideals import (
     support_sort_key,
 )
 
-FacetCoverSeq = tuple  # ordered sequence of pairwise distinct facet masks
-
 
 def maximal_supports(masks) -> tuple[int, ...]:
     """Inclusion-maximal elements of a family of masks, largest first."""
@@ -85,8 +83,10 @@ def gamma_complex(G: Graph) -> SimplicialComplex:
     """
     validate_standing_assumptions(G)
     full = G.full_mask
+    # Already an antichain, so no reduction is needed: a nonedge lies in no
+    # triangle, and distinct sets of one size never contain each other.
     facets = [full ^ m for m in nonedge_masks(G) + triangles(G)]
-    return SimplicialComplex.from_facets(G.n, facets)
+    return SimplicialComplex(G.n, tuple(sorted(facets, key=support_sort_key)))
 
 
 def facet_complex(G: Graph) -> SimplicialComplex:

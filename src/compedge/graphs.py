@@ -226,7 +226,10 @@ def _decode_edge_list(text: str) -> Graph:
             if n is None:
                 if len(tokens) != 1 or not tokens[0].isdigit():
                     raise ParseError("header line must be a single vertex count", offset)
-                n = int(tokens[0])
+                try:
+                    n = int(tokens[0])
+                except ValueError:  # a digit int() rejects, such as "³"
+                    raise ParseError("header vertex count is not a number", offset)
                 if not 1 <= n <= MAX_VERTICES:
                     raise ValidationError(f"vertex count {n} outside 1..{MAX_VERTICES}")
             else:

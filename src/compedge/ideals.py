@@ -9,8 +9,10 @@ The central constructions here: the ideal with one degree n-2 generator
 per graph edge (each generator is the product of all variables except the
 edge's endpoints), minimal transversals by Berge's one-support-at-a-time
 algorithm and through them minimal primes and Alexander duality, the lcm
-graph of an equigenerated ideal, the lcm lattice, and linear quotient
-orders with verifiable colon certificates.
+graph of an equigenerated ideal, the lcm lattice, and a greedy linear
+quotient order that records each step's colon variables as it appends;
+``MonomialOrderCert.is_valid_for`` checks such a certificate against the
+definition, colon by colon.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from itertools import combinations
 
 from .graphs import (
     Graph,
-    connected_components,
     iter_bits,
     validate_standing_assumptions,
     vertices_of,
@@ -37,15 +38,6 @@ class ZeroIdealError(IdealError):
 
 class NotEquigeneratedError(IdealError):
     """Operation requires all generators in one degree."""
-
-
-class NoOrderExistsError(IdealError):
-    """No linear quotient order exists; carries the disconnection witness."""
-
-    def __init__(self, components: list[tuple[int, ...]]):
-        parts = ", ".join("{" + ",".join(map(str, c)) + "}" for c in components)
-        super().__init__(f"NoOrderExists: components {parts}")
-        self.components = components
 
 
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -109,7 +101,9 @@ class SqfIdeal:
 
 
 def complementary_edge_ideal(G: Graph) -> SqfIdeal:
-    """One generator per edge: all variables except the edge's endpoints."""
+    """One generator per edge: all variables except the edge's endpoints.
+    Distinct supports of one size are already an antichain, so they are
+    only sorted, not minimalized."""
     validate_standing_assumptions(G)
     full = G.full_mask
     supports = []
@@ -117,7 +111,7 @@ def complementary_edge_ideal(G: Graph) -> SqfIdeal:
         row = G.adj[i] >> (i + 1)
         for j in iter_bits(row):
             supports.append(full ^ (1 << i) ^ (1 << (i + j + 1)))
-    return SqfIdeal.from_supports(G.n, supports)
+    return SqfIdeal(G.n, tuple(sorted(supports, key=support_sort_key)))
 
 
 def minimal_transversals(supports) -> list[int]:
@@ -271,10 +265,6 @@ def _colon_steps(seq):
         yield colon_min_gens(seq[:i], seq[i])
 
 
-def _generated_by_variables(gens) -> bool:
-    return all(m.bit_count() == 1 for m in gens)
-
-
 @dataclass(frozen=True, slots=True)
 class MonomialOrderCert:
     """A generator ordering plus the minimal colon generators at each step.
@@ -295,59 +285,37 @@ class MonomialOrderCert:
         if sorted(self.order, key=support_sort_key) != list(I.gens):
             return False
         steps = tuple(_colon_steps(self.order))
-        return steps == self.colon_steps and all(map(_generated_by_variables, steps))
+        variables = (m.bit_count() == 1 for step in steps for m in step)
+        return steps == self.colon_steps and all(variables)
 
 
-def linear_quotient_order(G: Graph) -> MonomialOrderCert:
-    """Deterministic linear quotient order for a connected graph's ideal.
+def linear_quotient_order(I: SqfIdeal) -> MonomialOrderCert | None:
+    """An order with linear quotients and its colon certificate, or None.
 
-    Starts at the smallest vertex, lists its edges by increasing other
-    endpoint, then repeatedly takes the smallest vertex adjacent to the
-    processed set that still has unlisted edges and lists those edges by
-    increasing other endpoint.  Disconnected graphs admit no such order at
-    all and raise :class:`NoOrderExistsError`.
+    Greedy: append any remaining generator u whose colon with the prefix
+    is generated by variables.  That colon is generated by the differences
+    p minus u over the prefix; it is generated by variables iff every
+    difference meets the union of the one-vertex differences, and those
+    vertices are the step's certificate.  None when no remaining generator
+    qualifies.  In general None does not rule an order out, since an
+    earlier choice may have led to the dead end; for the ideals of graphs
+    it does (see ``classify.analyze_graph``).
     """
-    validate_standing_assumptions(G)
-    comps = connected_components(G)
-    if len(comps) > 1:
-        raise NoOrderExistsError([vertices_of(c) for c in comps])
-    full = G.full_mask
-    a = 0
-    order_edges = [(a, w) for w in iter_bits(G.adj[a])]
-    processed = 1 << a
-    total = G.edge_count()
-    while len(order_edges) < total:
-        candidate = None
-        for c in range(G.n):
-            if processed >> c & 1:
-                continue
-            if G.adj[c] & processed and G.adj[c] & ~processed:
-                candidate = c
-                break
-        if candidate is None:
-            raise AssertionError("connected graph ran out of frontier edges")
-        for w in iter_bits(G.adj[candidate] & ~processed):
-            order_edges.append((candidate, w))
-        processed |= 1 << candidate
-    supports = [full ^ (1 << i) ^ (1 << j) for i, j in order_edges]
-    steps = tuple(_colon_steps(supports))
-    if not all(map(_generated_by_variables, steps)):
-        raise AssertionError("constructed order has a nonlinear colon step")
-    return MonomialOrderCert(tuple(supports), steps)
-
-
-def greedy_linear_quotient_order(I: SqfIdeal) -> tuple[int, ...] | None:
-    """An order with linear quotients, built by appending any remaining
-    generator whose colon with the prefix is generated by variables; None
-    when no remaining generator qualifies.  None does not rule an order
-    out: an earlier choice may have led to the dead end."""
     order: list[int] = []
+    steps: list[tuple[int, ...]] = []
     remaining = list(I.gens)
     while remaining:
         for i, u in enumerate(remaining):
-            if _generated_by_variables(colon_min_gens(order, u)):
+            outside = ~u
+            diffs = {p & outside for p in order}
+            variables = 0
+            for d in diffs:
+                if d.bit_count() == 1:
+                    variables |= d
+            if all(d & variables for d in diffs):
                 order.append(remaining.pop(i))
+                steps.append(tuple(1 << v for v in iter_bits(variables)))
                 break
         else:
             return None
-    return tuple(order)
+    return MonomialOrderCert(tuple(order), tuple(steps))

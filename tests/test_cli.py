@@ -7,6 +7,8 @@ import time
 import pytest
 
 from compedge.cli import run
+from compedge.graphs import mask_of, parse_graph
+from compedge.ideals import MonomialOrderCert, complementary_edge_ideal
 
 
 def capture(capsys):
@@ -108,9 +110,17 @@ class TestDual:
 
 class TestOrder:
     def test_connected(self, capsys):
-        assert run(["order", "C^"]) == 0  # connected: K4 minus one edge
-        out, _ = capture(capsys)
-        assert "order:" in out
+        assert run(["order", "C^", "--json"]) == 0  # connected: K4 minus one edge
+        doc = json.loads(capture(capsys)[0])
+
+        def mask(monomial):
+            return mask_of(int(x[1:]) for x in monomial.split("*"))
+
+        cert = MonomialOrderCert(
+            tuple(map(mask, doc["order"])),
+            tuple(tuple(map(mask, step)) for step in doc["colon_steps"]),
+        )
+        assert cert.is_valid_for(complementary_edge_ideal(parse_graph("C^")))
 
     def test_disconnected_witness(self, capsys):
         assert run(["order", "C`"]) == 0

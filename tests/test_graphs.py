@@ -1,12 +1,13 @@
 """Graph type, text formats, predicates, and their brute-force oracles."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compedge.graphs import (
     AmbientTooSmallError,
     Graph,
+    GraphError,
     IsolatedVertexError,
     ParseError,
     ValidationError,
@@ -40,6 +41,17 @@ from helpers import (
     p3_union_k2,
     two_k2,
 )
+
+
+# lines of short tokens drawn from digits, signs, a superscript digit and
+# arbitrary characters, so that headers and edge lines are often well formed
+_near_edge_lists = st.lists(
+    st.lists(
+        st.one_of(st.text("0123456789³-+", max_size=3), st.text(max_size=2)),
+        max_size=3,
+    ).map(" ".join),
+    max_size=6,
+).map("\n".join)
 
 
 class TestParsing:
@@ -103,6 +115,18 @@ class TestParsing:
 
     def test_trailing_newline_tolerated(self):
         assert parse_graph("C`\n") == parse_graph("C`")
+
+    @pytest.mark.parametrize("format", ["graph6", "edge-list"])
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=st.one_of(st.text(), _near_edge_lists))
+    @example(text="³")
+    def test_arbitrary_text_gives_a_graph_or_a_graph_error(self, format, text):
+        # "³" passes str.isdigit() but int() rejects it
+        try:
+            G = parse_graph(text, format)
+        except GraphError:
+            return
+        assert isinstance(G, Graph)
 
     @settings(max_examples=200, deadline=None)
     @given(random_graphs(1, 10))
