@@ -161,18 +161,7 @@ class PropertyReport:
         self.sequentially_cm = self.componentwise_linear_dual
 
     def to_json_dict(self) -> dict:
-        return {
-            "pd": self.pd,
-            "reg": self.reg,
-            "linear_resolution": self.linear_resolution,
-            "pure_resolution": self.pure_resolution,
-            "unmixed": self.unmixed,
-            "cohen_macaulay": self.cohen_macaulay,
-            "gorenstein": self.gorenstein,
-            "level": self.level,
-            "componentwise_linear_dual": self.componentwise_linear_dual,
-            "sequentially_cm": self.sequentially_cm,
-        }
+        return dict(self.__dict__)
 
 
 def _has_face_of_size(I: SqfIdeal, size: int) -> bool:

@@ -51,6 +51,7 @@ class SimplicialComplex:
 
     @classmethod
     def from_facets(cls, n: int, masks) -> "SimplicialComplex":
+        """The complex of a family from outside, reduced to its maximal sets."""
         return cls(n, tuple(sorted(maximal_supports(masks), key=support_sort_key)))
 
     @property
@@ -91,7 +92,8 @@ def gamma_complex(G: Graph) -> SimplicialComplex:
 
 def facet_complex(G: Graph) -> SimplicialComplex:
     """Facets are the generator supports of the graph's ideal."""
-    return SimplicialComplex.from_facets(G.n, complementary_edge_ideal(G).gens)
+    # minimal generators, canonically sorted, are already an antichain
+    return SimplicialComplex(G.n, complementary_edge_ideal(G).gens)
 
 
 def stanley_reisner_ideal(cx: SimplicialComplex) -> SqfIdeal:
@@ -102,8 +104,8 @@ def stanley_reisner_ideal(cx: SimplicialComplex) -> SqfIdeal:
     facet complements.
     """
     full = (1 << cx.n) - 1
-    gens = minimal_transversals(full ^ f for f in cx.facets)
-    return SqfIdeal.from_supports(cx.n, gens)
+    # minimal_transversals returns a canonically sorted antichain
+    return SqfIdeal(cx.n, tuple(minimal_transversals(full ^ f for f in cx.facets)))
 
 
 def stanley_reisner_complex(I: SqfIdeal) -> SimplicialComplex:
@@ -113,7 +115,9 @@ def stanley_reisner_complex(I: SqfIdeal) -> SimplicialComplex:
         full_simplex = (1 << I.n) - 1
         return SimplicialComplex(I.n, (full_simplex,))
     full = (1 << I.n) - 1
-    return SimplicialComplex.from_facets(I.n, [full ^ p for p in minimal_primes(I)])
+    # complements of an antichain are an antichain, so they are only sorted
+    facets = sorted((full ^ p for p in minimal_primes(I)), key=support_sort_key)
+    return SimplicialComplex(I.n, tuple(facets))
 
 
 def induced_subcomplex(cx: SimplicialComplex, W: int) -> SimplicialComplex:

@@ -3,7 +3,8 @@
 A squarefree monomial is stored as the bitmask of its support; an ideal is
 its minimal generating set of such masks, kept as an inclusion antichain
 sorted by degree and then lexicographically on the variables, so that
-equal ideals compare equal structurally.
+equal ideals compare equal structurally.  Producers here yield that form
+directly; ``SqfIdeal.from_supports`` reduces families from outside.
 
 The central constructions here: the ideal with one degree n-2 generator
 per graph edge (each generator is the product of all variables except the
@@ -84,6 +85,7 @@ class SqfIdeal:
 
     @classmethod
     def from_supports(cls, n: int, masks) -> "SqfIdeal":
+        """The ideal of a family from outside, reduced to its minimal sets."""
         return cls(n, minimalize_supports(masks))
 
     @property
@@ -128,21 +130,23 @@ def minimal_transversals(supports) -> list[int]:
     misses it by its size, and small supports leave few sets missing the
     large ones: the Stanley-Reisner ideal of a G(30, 0.4) graph's complex
     peaks at 8,705 intermediate sets when its triangles come before its
-    nonedges.
+    nonedges.  The antichain is returned in the canonical order, so it is
+    a minimal generating set as it stands.
     """
     found = [0]
     for s in sorted(supports, key=int.bit_count):
         hit = [t for t in found if t & s]
         extended = [t | 1 << v for t in found if not t & s for v in iter_bits(s)]
         found = hit + [e for e in extended if not any(h & ~e == 0 for h in hit)]
-    return found
+    return sorted(found, key=support_sort_key)
 
 
 def minimal_primes(I: SqfIdeal) -> list[int]:
-    """Vertex masks T of the minimal primes (x_i : i in T), sorted by size."""
+    """Vertex masks T of the minimal primes (x_i : i in T), in the
+    canonical order."""
     if I.is_zero:
         raise ZeroIdealError("zero ideal has no minimal primes over itself")
-    return sorted(minimal_transversals(I.gens), key=support_sort_key)
+    return minimal_transversals(I.gens)
 
 
 def height(I: SqfIdeal) -> int:
@@ -152,7 +156,8 @@ def height(I: SqfIdeal) -> int:
 
 def alexander_dual(I: SqfIdeal) -> SqfIdeal:
     """Squarefree dual: generators are the minimal prime supports."""
-    return SqfIdeal.from_supports(I.n, minimal_primes(I))
+    # minimal_transversals returns a canonically sorted antichain
+    return SqfIdeal(I.n, tuple(minimal_primes(I)))
 
 
 def degree_component(I: SqfIdeal, j: int) -> SqfIdeal:
@@ -174,7 +179,8 @@ def degree_component(I: SqfIdeal, j: int) -> SqfIdeal:
             for b in combo:
                 m |= 1 << b
             out.add(m)
-    return SqfIdeal.from_supports(I.n, out)
+    # distinct sets of one size are an antichain, so they are only sorted
+    return SqfIdeal(I.n, tuple(sorted(out, key=support_sort_key)))
 
 
 def lcm_graph(I: SqfIdeal) -> tuple[int, ...]:

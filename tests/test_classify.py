@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from compedge import betti
+from compedge import betti, complexes, ideals
 from compedge.classify import (
     MODE_CORRECTED,
     MODE_PAPER_LITERAL,
@@ -112,14 +112,20 @@ class TestVerify:
 
 class TestAnalyzeRunsNoHochsterSum:
     """The dual's componentwise linearity is decided without the 2^n
-    Hochster sum: every call to it fails here."""
+    Hochster sum, and every antichain comes from its producer unreduced:
+    each call to the Hochster sum or to a pairwise reduction fails here."""
 
     @pytest.fixture(autouse=True)
-    def _refuse_hochster(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("hochster_betti called")
+    def _refuse_hochster_and_reductions(self, monkeypatch):
+        for module, name in (
+            (betti, "hochster_betti"),
+            (ideals, "minimalize_supports"),
+            (complexes, "maximal_supports"),
+        ):
+            def refuse(*args, name=name):
+                raise AssertionError(f"{name} called")
 
-        monkeypatch.setattr(betti, "hochster_betti", refuse)
+            monkeypatch.setattr(module, name, refuse)
 
     def test_every_graph_on_five_vertices(self):
         count = 0

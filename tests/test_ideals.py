@@ -174,9 +174,7 @@ class TestMinimalPrimes:
     @example((4, [0b1111, 0b0110, 0b0010, 0b0110]))
     def test_transversals_of_general_families(self, family):
         n, supports = family
-        assert sorted(minimal_transversals(supports)) == sorted(
-            brute_minimal_transversals(supports, n)
-        )
+        assert minimal_transversals(supports) == brute_minimal_transversals(supports, n)
 
 
 class TestHeightUnmixed:
@@ -218,6 +216,15 @@ class TestAlexanderDual:
         assert alexander_dual(alexander_dual(I)) == I
 
 
+@st.composite
+def squarefree_ideals(draw):
+    """1..10 arbitrary nonempty supports in 1..8 variables, minimalized:
+    mixed degrees, shared and disjoint supports, single variables."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=10))
+    return SqfIdeal.from_supports(n, masks)
+
+
 class TestDegreeComponent:
     def test_paw_dual_degree_two(self):
         dual = alexander_dual(complementary_edge_ideal(paw()))
@@ -234,6 +241,15 @@ class TestDegreeComponent:
     def test_below_generation_degree_empty(self):
         I = complementary_edge_ideal(path(4))
         assert degree_component(I, 1).is_zero
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(squarefree_ideals())
+    def test_matches_brute_subsets_in_canonical_order(self, I):
+        for j in range(1, I.n + 1):
+            subsets = (sum(1 << v for v in c) for c in combinations(range(I.n), j))
+            brute = [m for m in subsets if any(g & ~m == 0 for g in I.gens)]
+            expected = tuple(sorted(brute, key=brute_canonical_key))
+            assert degree_component(I, j).gens == expected
 
 
 def line_graph_rows(G, I):
@@ -352,15 +368,6 @@ class TestLinearlyRelated:
     @given(equigenerated_ideals())
     def test_matches_the_per_pair_search(self, I):
         assert is_linearly_related(I, lcm_graph(I)) == brute_is_linearly_related(I)
-
-
-@st.composite
-def squarefree_ideals(draw):
-    """1..10 arbitrary nonempty supports in 1..8 variables, minimalized:
-    mixed degrees, shared and disjoint supports, single variables."""
-    n = draw(st.integers(min_value=1, max_value=8))
-    masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=10))
-    return SqfIdeal.from_supports(n, masks)
 
 
 class TestLinearQuotients:
