@@ -2,7 +2,7 @@
 quotient-order certificates, exhaustive sweeps, and the Gorenstein census.
 
 Exit codes: 0 success (and no mismatches), 1 usage error, 2 invalid or
-malformed input, 3 mismatches found.
+malformed input, 3 mismatches found (a claim or the --cross-check oracle).
 """
 
 from __future__ import annotations
@@ -87,6 +87,14 @@ def _dual_block(dual: idl.SqfIdeal) -> dict:
     }
 
 
+def _cross_check(payload: dict, I: idl.SqfIdeal, table) -> bool:
+    """Add the Hochster oracle's table and whether it matches; return that."""
+    oracle = hochster_betti(I, table.field)
+    payload["betti_oracle"] = oracle.to_json_dict()
+    payload["oracle_matches"] = oracle.entries == table.entries
+    return payload["oracle_matches"]
+
+
 def build_analysis_document(record: cf.GraphAnalysis, cross_check) -> dict:
     G = record.graph
     table = record.table
@@ -106,9 +114,7 @@ def build_analysis_document(record: cf.GraphAnalysis, cross_check) -> dict:
         "consistency": record.consistency.to_json_dict(),
     }
     if cross_check:
-        oracle = hochster_betti(record.ideal, table.field)
-        doc["betti_oracle"] = oracle.to_json_dict()
-        doc["oracle_matches"] = oracle.entries == table.entries
+        _cross_check(doc, record.ideal, table)
     return doc
 
 
@@ -159,7 +165,8 @@ def _cmd_analyze(args) -> int:
         _emit(args, json.dumps(doc, indent=2, sort_keys=True))
     else:
         _emit(args, _render_analysis_text(doc, record.table.render_text()))
-    return EXIT_OK
+    ok = record.consistency.all_match() and doc.get("oracle_matches", True)
+    return EXIT_OK if ok else EXIT_MISMATCH
 
 
 def _cmd_betti(args) -> int:
@@ -168,12 +175,7 @@ def _cmd_betti(args) -> int:
     I = idl.complementary_edge_ideal(G)
     table = koszul_betti(I, field)
     payload = {"graph6": emit_graph(G), "betti": table.to_json_dict()}
-    matches = True
-    if args.cross_check:
-        oracle = hochster_betti(I, field)
-        payload["betti_oracle"] = oracle.to_json_dict()
-        matches = oracle.entries == table.entries
-        payload["oracle_matches"] = matches
+    matches = _cross_check(payload, I, table) if args.cross_check else True
     if args.as_json:
         _emit(args, json.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -1,14 +1,14 @@
 """Reduced simplicial homology dimensions over exact coefficient fields.
 
 Dimensions come from exact ranks of the boundary matrices of the augmented
-chain complex: over GF(2) rows are bitmask integers eliminated with xor;
-over GF(p) and the rationals rows are sparse {column: entry} dicts, and
-one elimination pivots on unit entries (any nonzero residue mod p, +-1
-over the rationals), as exact homology codes do (Dumas, Heckenbach,
-Saunders and Welker, "Computing simplicial homology based on efficient
-Smith normal form algorithms", 2003).  Over the rationals the row
-operations are integer and invertible; a remainder with no +-1 entry goes
-to fraction-free Bareiss elimination.  No floating point appears anywhere.
+chain complex, all through ``_rank`` on sparse {column: entry} rows: over
+GF(2) the rows become bitmask integers eliminated with xor; over GF(p) and
+the rationals one sparse elimination pivots on unit entries (any nonzero
+residue mod p, +-1 over the rationals), as exact homology codes do (Dumas,
+Heckenbach, Saunders and Welker, "Computing simplicial homology based on
+efficient Smith normal form algorithms", 2003).  Over the rationals, once
+no +-1 entry is left, any entry is a pivot and the entries become exact
+fractions.  No floating point appears anywhere.
 
 Results are memoized per (facet family, characteristic): the sweep layers
 evaluate the same small complexes over and over.
@@ -66,10 +66,14 @@ class HomologyDims:
         return {k: v for k, v in self.dims.items() if v}
 
 
-def _rank_gf2(rows: list[int]) -> int:
+def _rank_gf2(rows: list[dict[int, int]]) -> int:
+    """Rank over GF(2) of sparse rows, packed into bitmasks for xor."""
     rank = 0
     pivots: list[tuple[int, int]] = []
-    for r in rows:
+    for row in rows:
+        r = 0
+        for c in row:
+            r |= 1 << c
         for bit, pivot in pivots:
             if r >> bit & 1:
                 r ^= pivot
@@ -81,13 +85,15 @@ def _rank_gf2(rows: list[int]) -> int:
 
 def _rank_sparse(rows: list[dict[int, int]], p: int) -> int:
     """Rank over GF(p), or over the rationals when p == 0, of a matrix given
-    as sparse rows {column: integer nonzero mod p} (the rows are consumed).
+    as nonempty sparse rows {column: integer nonzero mod p} (the rows are
+    consumed).
 
     Each step pivots on a unit entry of the sparsest row that has one (over
-    GF(p) every entry is a unit, over the rationals only +-1) and clears its
-    column from the other rows.  Over the rationals these are invertible
-    integer row operations, so entries stay integers and the rank is exact;
-    a remainder with no +-1 entry left goes to Bareiss.
+    GF(p) every entry is a unit, over the rationals +-1) and clears its
+    column from the other rows.  Over the rationals +-1 pivots make these
+    invertible integer row operations; once no +-1 entry is left, the first
+    entry of the sparsest row is the pivot and entries become exact
+    fractions.
     """
     rank = 0
     while rows:
@@ -100,8 +106,15 @@ def _rank_sparse(rows: list[dict[int, int]], p: int) -> int:
                     pivot, col = row, c
                     break
         if pivot is None:
-            break
-        inv = pow(pivot[col], -1, p) if p else pivot[col]
+            # the rationals with no +-1 entry left; fractions is imported
+            # only here, because the complexes of graph ideals rarely need it
+            from fractions import Fraction
+
+            pivot = min(rows, key=len)
+            col = next(iter(pivot))
+            inv = Fraction(1, pivot[col])
+        else:
+            inv = pow(pivot[col], -1, p) if p else pivot[col]
         remaining = []
         for row in rows:
             if row is pivot:
@@ -122,61 +135,20 @@ def _rank_sparse(rows: list[dict[int, int]], p: int) -> int:
             remaining.append(row)
         rows = remaining
         rank += 1
-    if rows:
-        cols = set().union(*rows)
-        rank += _rank_bareiss([[row.get(c, 0) for c in cols] for row in rows])
     return rank
 
 
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination; all divisions
-    along the way are exact, so entries stay integers."""
-    mat = [row[:] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    rank = 0
-    prev = 1
-    col = 0
-    while rank < nrows and col < ncols:
-        pivot_row = None
-        for r in range(rank, nrows):
-            if mat[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        pivot = mat[rank][col]
-        for r in range(rank + 1, nrows):
-            factor = mat[r][col]
-            row = mat[r]
-            prow = mat[rank]
-            for c in range(col, ncols):
-                row[c] = (pivot * row[c] - factor * prow[c]) // prev
-        prev = pivot
-        rank += 1
-        col += 1
-    return rank
+def _rank(rows: list[dict[int, int]], p: int) -> int:
+    """Exact rank over GF(p), or over the rationals when p == 0, of nonempty
+    sparse rows {column: integer nonzero mod p}; the one field dispatch."""
+    return _rank_gf2(rows) if p == 2 else _rank_sparse(rows, p)
 
 
 def matrix_rank(rows: list[list[int]], field: FieldSpec) -> int:
     """Exact rank of an integer matrix over the chosen field."""
-    if not rows or not rows[0]:
-        return 0
     p = field.characteristic
-    if p == 2:
-        packed = []
-        for row in rows:
-            m = 0
-            for c, x in enumerate(row):
-                if x % 2:
-                    m |= 1 << c
-            packed.append(m)
-        return _rank_gf2(packed)
-    return _rank_sparse(
-        [{c: x for c, x in enumerate(row) if (x % p if p else x)} for row in rows], p
-    )
+    sparse = ({c: x for c, x in enumerate(row) if (x % p if p else x)} for row in rows)
+    return _rank([row for row in sparse if row], p)
 
 
 def _faces_by_dim(facets: tuple[int, ...]) -> list[list[int]]:
@@ -221,24 +193,15 @@ def _compute_dims(facets: tuple[int, ...], char: int) -> tuple[tuple[int, int], 
     ranks[1] = 1
     for k in range(2, top + 1):
         lower_index = {m: i for i, m in enumerate(levels[k - 1])}
-        if char == 2:
-            rows = []
-            for m in levels[k]:
-                r = 0
-                for v in iter_bits(m):
-                    r |= 1 << lower_index[m ^ (1 << v)]
-                rows.append(r)
-            ranks[k] = _rank_gf2(rows)
-        else:
-            rows = []
-            for m in levels[k]:
-                row = {}
-                sign = 1
-                for v in iter_bits(m):
-                    row[lower_index[m ^ (1 << v)]] = sign
-                    sign = -sign
-                rows.append(row)
-            ranks[k] = _rank_sparse(rows, char)
+        rows = []
+        for m in levels[k]:
+            row = {}
+            sign = 1
+            for v in iter_bits(m):
+                row[lower_index[m ^ (1 << v)]] = sign
+                sign = -sign
+            rows.append(row)
+        ranks[k] = _rank(rows, char)
     out = []
     for k in range(-1, top):
         h = counts[k + 1] - ranks[k + 1] - ranks[k + 2]

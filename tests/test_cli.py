@@ -1,11 +1,20 @@
 """End-to-end command-line behavior: formats, exit codes, round trips."""
 
+import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import compedge
 from compedge.cli import run
 from compedge.graphs import mask_of, parse_graph
 from compedge.ideals import MonomialOrderCert, complementary_edge_ideal
@@ -43,6 +52,34 @@ class TestAnalyze:
         assert run(["analyze", "C`", "--text", "--cross-check"]) == 0
         out, _ = capture(capsys)
         assert out.splitlines()[-1] == "oracle matches: True"
+
+    def test_mismatched_claim_exit_three_text(self, capsys):
+        # paper-literal mode groups K4 with trees at projective dimension 1
+        assert run(["analyze", "C~", "--mode", "paper-literal"]) == 3
+        out, _ = capture(capsys)
+        assert "MISMATCHED CLAIMS: pd_reg" in out.splitlines()
+
+    def test_mismatched_claim_exit_three_json(self, capsys):
+        assert run(["analyze", "C~", "--mode", "paper-literal", "--json"]) == 3
+        claims = json.loads(capture(capsys)[0])["consistency"]["claims"]
+        assert [name for name, c in claims.items() if not c["match"]] == ["pd_reg"]
+
+    @pytest.mark.parametrize("command", ["analyze", "betti"])
+    @pytest.mark.parametrize("output", ["--text", "--json"])
+    def test_oracle_disagreement_exit_three(self, capsys, monkeypatch, command, output):
+        real = compedge.cli.hochster_betti
+
+        def skewed(I, field):
+            table = real(I, field)
+            return dataclasses.replace(table, entries={**table.entries, (0, 2): 99})
+
+        monkeypatch.setattr("compedge.cli.hochster_betti", skewed)
+        assert run([command, "C`", output, "--cross-check"]) == 3
+        out, _ = capture(capsys)
+        if output == "--json":
+            assert json.loads(out)["oracle_matches"] is False
+        else:
+            assert out.splitlines()[-1] == "oracle matches: False"
 
     def test_invalid_graph_exit_two(self, capsys):
         assert run(["analyze", "C"]) == 2
@@ -235,3 +272,100 @@ class TestUsage:
     )
     def test_options_a_command_does_not_read_are_rejected(self, capsys, argv):
         assert run(argv) == 1
+
+
+def test_import_loads_neither_fractions_nor_multiprocessing():
+    # both are imported where they are needed: fractions by the rational
+    # rank's non-unit pivot, multiprocessing by a sweep with workers
+    src = Path(compedge.__file__).resolve().parents[1]
+    code = (
+        "import sys, compedge, compedge.cli; "
+        "print([m for m in ('fractions', 'multiprocessing') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.strip() == "[]"
+
+
+class TestArgvFuzz:
+    """No argv ends in an uncaught exception or an exit code outside 0-3.
+
+    Most options come from the command's own set with valid or malformed
+    values, the rest from every command's set.  ``sweep`` and ``census``
+    always get a last ``--n`` that is 4 or invalid, so no call enumerates
+    more than the 41 graphs on 4 vertices; ``--workers`` asks for at most
+    2 processes.  ``--help`` is left out: argparse answers it with
+    ``SystemExit(0)``.
+    """
+
+    VALUES = {
+        "--format": ["graph6", "edge-list", "bogus", ""],
+        "--field": ["2", "3", "q", "5", ""],
+        "--mode": ["corrected", "paper-literal", "x"],
+        "--workers": ["1", "2", "0", "-1", "x"],
+        "--out": ["<file>", "<missing>", "<dir>"],
+        "--n": ["4", "x"],
+    }
+    READS = {
+        "analyze": ["--format", "--field", "--mode", "--cross-check", "--json", "--text"],
+        "betti": ["--format", "--field", "--cross-check", "--json", "--text"],
+        "dual": ["--format", "--json", "--text"],
+        "order": ["--format", "--json", "--text"],
+        "sweep": ["--workers", "--field", "--mode", "--cross-check"],
+        "census": ["--field", "--json", "--text"],
+    }
+    ALL_FLAGS = sorted({f for flags in READS.values() for f in flags} | set(VALUES)) + [
+        "--wat", "-"
+    ]
+    GRAPHS = ["C`", "C~", "C^", "Dto", "Bw", "C", "?", "~", "A_", "-", "",
+              "4\n1 2\n2 3\n3 4", "63\n1 2", "\u00e9"]
+    N_VALUES = ["4", "4..4", "3", "7", "4..7", "5..4", "x", "", "-4", "4.."]
+    STDIN = ["4\n1 2\n2 3\n3 4", "C~", "", "4\n1 9", "x y"]
+
+    @staticmethod
+    @st.composite
+    def argvs(draw):
+        T = TestArgvFuzz
+        command = draw(st.sampled_from([*T.READS, "frobnicate", None]))
+        argv = [] if command is None else [command]
+        if command in ("analyze", "betti", "dual", "order") and draw(st.integers(0, 9)):
+            argv.append(draw(st.sampled_from(T.GRAPHS)))
+        own = T.READS.get(command, []) + ["--out"]
+        for _ in range(draw(st.integers(0, 4))):
+            flag = draw(st.sampled_from(own if draw(st.integers(0, 5)) else T.ALL_FLAGS))
+            argv.append(flag)
+            if flag in T.VALUES and draw(st.integers(0, 9)):
+                argv.append(draw(st.sampled_from(T.VALUES[flag])))
+            elif not draw(st.integers(0, 9)):
+                argv.append(draw(st.sampled_from(T.GRAPHS)))
+        if command in ("sweep", "census"):
+            argv += ["--n", draw(st.sampled_from(T.N_VALUES))]
+        return argv
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(argv=argvs(), stdin=st.sampled_from(STDIN))
+    def test_every_argv_exits_0_to_3(self, tmp_path_factory, argv, stdin):
+        base = tmp_path_factory.getbasetemp() / "argv-fuzz"
+        base.mkdir(exist_ok=True)
+        paths = {
+            "<file>": str(base / "out.txt"),
+            "<missing>": str(base / "missing" / "out.txt"),
+            "<dir>": str(base),
+        }
+        argv = [paths.get(token, token) for token in argv]
+        out, err = io.StringIO(), io.StringIO()
+        # an --out that takes a graph or "-" as its file stays under base too
+        cwd = os.getcwd()
+        os.chdir(base)
+        try:
+            with mock.patch("sys.stdin", io.StringIO(stdin)), \
+                    mock.patch("sys.stdout", out), mock.patch("sys.stderr", err):
+                code = run(argv)
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2, 3), (argv, code)

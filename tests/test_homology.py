@@ -3,7 +3,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compedge.complexes import SimplicialComplex, gamma_complex, induced_subcomplex
@@ -86,7 +86,7 @@ class TestRank:
     )
     def test_matches_minor_oracle(self, nrows, ncols, scale, data):
         # scaled by 2 or 3, a matrix has no +-1 entry, so the rational rank
-        # ends in the Bareiss remainder
+        # pivots on non-unit entries and eliminates with exact fractions
         matrix = [
             [
                 scale * data.draw(st.integers(min_value=-4, max_value=4))
@@ -117,6 +117,8 @@ class TestRank:
             st.lists(st.integers(min_value=1), min_size=1, max_size=8),
         )
     )
+    # the 2-boundary of RP^2 has torsion: its elimination runs out of +-1 pivots
+    @example(rp2_6())
     def test_boundary_ranks_match_exact_rationals(self, complex_):
         for k in range(complex_.dimension + 2):
             matrix = boundary_matrix(complex_, k)
@@ -125,6 +127,12 @@ class TestRank:
     def test_empty(self):
         assert matrix_rank([], GF2) == 0
         assert matrix_rank([[]], QQ) == 0
+
+    def test_zero_rows(self):
+        # a zero row is never a pivot row, even when no +-1 entry is left
+        matrix = [[0, 0], [2, 4], [0, 0]]
+        for field in FIELDS:
+            assert matrix_rank(matrix, field) == brute_rank(matrix, field.characteristic)
 
 
 class TestReducedHomology:
