@@ -5,7 +5,10 @@ alone; ``analyze_graph`` computes the same properties from scratch through
 the ideal, complex, homology and Betti layers, keeping every object it
 built, and reports each claim as match or mismatch (``verify_graph``
 returns just the claims).  ``sweep`` runs the verification over every
-labeled graph without isolated vertices in a vertex range.
+labeled graph without isolated vertices in a vertex range, one analysis
+per isomorphism class: ``edge_mask_orbits`` groups the edge masks into
+S_n orbits, every claim is invariant under relabeling, and only a class
+that fails is expanded to its labeled members.
 
 Two prediction modes exist for the projective dimension and regularity
 pair.  The literal reading places complete graphs at (1, n-2); the
@@ -20,7 +23,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 from . import graphs as g
 from . import ideals as idl
@@ -308,13 +311,38 @@ def graph_from_edge_mask(n: int, mask: int, pairs=None) -> Graph | None:
     return Graph(n, tuple(adj))
 
 
-def iter_graphs(n: int):
-    """All labeled graphs on [n] with minimum degree >= 1, by edge mask."""
+def edge_mask_orbits(n: int):
+    """The orbits of S_n on the edge masks of [n], as (least mask, sorted
+    members), in increasing order of the least mask.
+
+    Each permutation of [n] becomes a table from edge bit to image bit;
+    each mask not yet met has its orbit taken by applying every table.
+    Exact by construction: no canonical form and no invariant hashing.
+    """
     pairs = edge_pairs(n)
-    for mask in range(1 << len(pairs)):
-        G = graph_from_edge_mask(n, mask, pairs)
-        if G is not None:
-            yield G
+    index = {pair: t for t, pair in enumerate(pairs)}
+    tables = [
+        [1 << index[min(s[i], s[j]), max(s[i], s[j])] for i, j in pairs]
+        for s in permutations(range(n))
+    ]
+    seen = bytearray(1 << len(pairs))
+    for mask in range(len(seen)):
+        if seen[mask]:
+            continue
+        bits = list(iter_bits(mask))
+        members = sorted({sum(map(table.__getitem__, bits)) for table in tables})
+        for m in members:
+            seen[m] = 1
+        yield mask, members
+
+
+def _graph_classes(n: int) -> list[tuple[int, list[int]]]:
+    """The orbits of graphs on [n] with no isolated vertex."""
+    pairs = edge_pairs(n)
+    return [
+        orbit for orbit in edge_mask_orbits(n)
+        if graph_from_edge_mask(n, orbit[0], pairs) is not None
+    ]
 
 
 @dataclass
@@ -393,28 +421,39 @@ def _cross_field_check(record: GraphAnalysis) -> list[dict]:
 
 
 def _sweep_chunk(args) -> tuple[int, dict, list, list]:
-    n, lo, hi, char, mode, cross_field = args
+    """Verify a list of classes.  Every claim's match bit is invariant under
+    relabeling, so a class whose least mask matches throughout (and, with
+    ``cross_field``, agrees across fields) tallies all its members at once;
+    any other class is verified member by member, so its mismatches and
+    disagreements carry their labeled graph6 strings."""
+    n, classes, char, mode, cross_field = args
     field = FieldSpec(char)
     pairs = edge_pairs(n)
     count = 0
     tallies: dict[str, list[int]] = {}
     mismatches: list[dict] = []
     disagreements: list[dict] = []
-    for mask in range(lo, hi):
-        G = graph_from_edge_mask(n, mask, pairs)
-        if G is None:
+    for least, members in classes:
+        count += len(members)
+        record = analyze_graph(graph_from_edge_mask(n, least, pairs), field, mode)
+        if record.consistency.all_match() and not (
+            cross_field and _cross_field_check(record)
+        ):
+            for name in record.consistency.claims:
+                tallies.setdefault(name, [0, 0])[0] += len(members)
             continue
-        count += 1
-        record = analyze_graph(G, field, mode)
-        if cross_field:
-            disagreements.extend(_cross_field_check(record))
-        _verify_into(tallies, mismatches, record.consistency)
+        for mask in members:
+            record = analyze_graph(graph_from_edge_mask(n, mask, pairs), field, mode)
+            if cross_field:
+                disagreements.extend(_cross_field_check(record))
+            _verify_into(tallies, mismatches, record.consistency)
     return count, tallies, mismatches, disagreements
 
 
 def _check_vertex_range(n_min: int, n_max: int) -> None:
-    """Exhaustive runs enumerate 2^(n(n-1)/2) edge masks: cap n at 6, the
-    largest n a run finishes within minutes (n = 7 walks 2^21 masks)."""
+    """Exhaustive runs take the S_n orbits of all 2^(n(n-1)/2) edge masks:
+    cap n at 6 until n = 7 (2^21 masks, 5,040 tables per orbit) has a
+    measured budget."""
     if not 4 <= n_min <= n_max <= 6:
         raise ValueError(
             f"vertex range must satisfy 4 <= n_min <= n_max <= 6, got {n_min}..{n_max}"
@@ -430,12 +469,13 @@ def sweep(
     workers: int = 1,
     progress=None,
 ) -> SweepReport:
-    """Verify every labeled graph with min degree >= 1 for each n in range.
+    """Verify every labeled graph with min degree >= 1 for each n in range,
+    one analysis per isomorphism class (see :func:`_sweep_chunk`).
 
-    The edge-mask space is split into contiguous chunks; chunk results
-    merge in mask order, so the report does not depend on the worker
-    count.  At most one worker process per CPU and per chunk is started.
-    ``progress``, if given, receives one line per finished n.
+    The classes of each n are dealt into jobs; tallies add up and the
+    mismatches and disagreements are sorted, so the report does not depend
+    on the worker count.  At most one worker process per CPU and per job
+    is started.  ``progress``, if given, receives one line per finished n.
     """
     _check_vertex_range(n_min, n_max)
     if mode not in MODES:
@@ -449,8 +489,12 @@ def sweep(
     mismatches: list[dict] = []
     disagreements: list[dict] = []
     for n in range(n_min, n_max + 1):
-        nmasks = 1 << len(edge_pairs(n))
-        jobs = _chunk_jobs(n, nmasks, field.characteristic, mode, cross_field, workers)
+        classes = _graph_classes(n)
+        njobs = min(len(classes), workers * 4)
+        jobs = [
+            (n, classes[i::njobs], field.characteristic, mode, cross_field)
+            for i in range(njobs)
+        ]
         pool_size = min(workers, len(jobs))
         if pool_size > 1:
             import multiprocessing
@@ -485,24 +529,14 @@ def sweep(
     )
 
 
-def _chunk_jobs(n, nmasks, char, mode, cross_field, workers):
-    nchunks = max(1, min(nmasks, workers * 4))
-    step = (nmasks + nchunks - 1) // nchunks
-    jobs = []
-    lo = 0
-    while lo < nmasks:
-        hi = min(nmasks, lo + step)
-        jobs.append((n, lo, hi, char, mode, cross_field))
-        lo = hi
-    return jobs
-
-
 def gorenstein_census(n: int, field: FieldSpec = GF2) -> list[str]:
-    """graph6 strings of all graphs whose quotient ring is Gorenstein."""
+    """graph6 strings of all graphs whose quotient ring is Gorenstein,
+    decided once per isomorphism class."""
     _check_vertex_range(n, n)
+    pairs = edge_pairs(n)
     out = []
-    for G in iter_graphs(n):
-        I = idl.complementary_edge_ideal(G)
+    for least, members in _graph_classes(n):
+        I = idl.complementary_edge_ideal(graph_from_edge_mask(n, least, pairs))
         if is_gorenstein(koszul_betti(I, field), idl.height(I)):
-            out.append(emit_graph(G))
+            out.extend(emit_graph(graph_from_edge_mask(n, m, pairs)) for m in members)
     return sorted(out)

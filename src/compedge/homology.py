@@ -67,20 +67,22 @@ class HomologyDims:
 
 
 def _rank_gf2(rows: list[dict[int, int]]) -> int:
-    """Rank over GF(2) of sparse rows, packed into bitmasks for xor."""
-    rank = 0
-    pivots: list[tuple[int, int]] = []
+    """Rank over GF(2) of sparse rows, packed into bitmasks for xor.  The
+    pivots are keyed by leading bit, so a row meets only the pivots whose
+    leading bit it holds."""
+    pivots: dict[int, int] = {}
     for row in rows:
         r = 0
         for c in row:
             r |= 1 << c
-        for bit, pivot in pivots:
-            if r >> bit & 1:
-                r ^= pivot
-        if r:
-            pivots.append((r.bit_length() - 1, r))
-            rank += 1
-    return rank
+        while r:
+            top = r.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = r
+                break
+            r ^= pivot
+    return len(pivots)
 
 
 def _rank_sparse(rows: list[dict[int, int]], p: int) -> int:

@@ -11,7 +11,15 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from compedge.betti import hochster_betti
+from compedge.classify import (
+    MODE_CORRECTED,
+    SweepReport,
+    _cross_field_check,
+    _verify_into,
+    analyze_graph,
+)
 from compedge.graphs import Graph, vertices_of
+from compedge.homology import GF2
 
 # ---------------------------------------------------------------- graphs
 
@@ -66,12 +74,48 @@ def all_graphs(n):
         yield graph_from_mask(n, mask)
 
 
+def iter_graphs(n):
+    """All labeled graphs on [n] with minimum degree >= 1, by edge mask."""
+    return (G for G in all_graphs(n) if all(G.adj))
+
+
 def min_degree_one_count(n):
     """Inclusion-exclusion count of labeled graphs with no isolated vertex."""
     from math import comb
 
     return sum(
         (-1) ** k * comb(n, k) * 2 ** comb(n - k, 2) for k in range(n + 1)
+    )
+
+
+# ------------------------------------------------------- labeled sweep
+
+
+def labeled_sweep(n_min, n_max, field=GF2, mode=MODE_CORRECTED, cross_field=False):
+    """The sweep's report from one analysis per labeled graph, in mask
+    order: the oracle for the sweep over isomorphism classes."""
+    total = 0
+    tallies, mismatches, disagreements = {}, [], []
+    for n in range(n_min, n_max + 1):
+        for G in iter_graphs(n):
+            total += 1
+            record = analyze_graph(G, field, mode)
+            if cross_field:
+                disagreements.extend(_cross_field_check(record))
+            _verify_into(tallies, mismatches, record.consistency)
+    mismatches.sort(key=lambda m: (m["graph6"], m["claim"], m["field"]))
+    disagreements.sort(key=lambda d: (d["graph6"], d["fields"]))
+    return SweepReport(
+        n_min=n_min,
+        n_max=n_max,
+        field=field.label,
+        mode=mode,
+        cross_field=cross_field,
+        graph_count=total,
+        claim_tallies=tallies,
+        mismatches=mismatches,
+        field_disagreements=disagreements,
+        wall_time_s=0.0,
     )
 
 
@@ -247,6 +291,23 @@ def exact_rank_qq(matrix) -> int:
         for r in range(rank + 1, len(rows)):
             f = rows[r][c] / rows[rank][c]
             rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def exact_rank_gf2(matrix) -> int:
+    """Rank over GF(2) by Gaussian elimination on lists of residues."""
+    rows = [[x % 2 for x in row] for row in matrix]
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    for c in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][c]:
+                rows[r] = [a ^ b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
 

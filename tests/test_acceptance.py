@@ -17,12 +17,7 @@ import pytest
 
 import compedge
 from compedge.betti import hochster_betti, koszul_betti, multigraded_koszul_betti
-from compedge.classify import (
-    MODE_PAPER_LITERAL,
-    iter_graphs,
-    sweep,
-    verify_graph,
-)
+from compedge.classify import MODE_PAPER_LITERAL, sweep, verify_graph
 from compedge.complexes import (
     facet_complex,
     find_well_ordered_cover,
@@ -34,6 +29,7 @@ from compedge.ideals import complementary_edge_ideal, linear_quotient_order
 from helpers import (
     complete,
     has_linear_quotient_order,
+    iter_graphs,
     min_degree_one_count,
     path,
     p3_union_k2,

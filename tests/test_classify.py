@@ -2,29 +2,33 @@
 
 import hashlib
 import json
-from itertools import combinations
+from functools import cache
+from itertools import combinations, permutations
 
 import pytest
 
-from compedge import betti, complexes, ideals
+from compedge import betti, classify, complexes, ideals
 from compedge.classify import (
     MODE_CORRECTED,
     MODE_PAPER_LITERAL,
     analyze_graph,
     classify_graph,
+    edge_mask_orbits,
     gorenstein_census,
     graph_from_edge_mask,
-    iter_graphs,
     sweep,
     verify_graph,
 )
-from compedge.graphs import parse_graph
+from compedge.graphs import emit_graph, parse_graph
 from compedge.homology import GF2, GF3, QQ
 from helpers import (
     all_graphs,
     complete,
     cycle,
     graph,
+    graph_from_mask,
+    iter_graphs,
+    labeled_sweep,
     min_degree_one_count,
     path,
     paw,
@@ -234,6 +238,119 @@ class TestSweep:
         assert graph_from_edge_mask(4, 0) is None
 
 
+class TestEdgeMaskOrbits:
+    @pytest.mark.parametrize(
+        "n, orbits, classes, masks, graphs",
+        [(4, 11, 7, 64, 41), (5, 34, 23, 1024, 768), (6, 156, 122, 32768, 27449)],
+    )
+    def test_counts(self, n, orbits, classes, masks, graphs):
+        found = list(edge_mask_orbits(n))
+        no_isolated = [
+            (least, members) for least, members in found
+            if graph_from_edge_mask(n, least) is not None
+        ]
+        assert len(found) == orbits
+        assert len(no_isolated) == classes
+        assert sum(len(members) for _, members in found) == masks
+        assert sum(len(members) for _, members in no_isolated) == graphs
+        assert graphs == min_degree_one_count(n)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_orbits_partition_the_masks(self, n):
+        found = list(edge_mask_orbits(n))
+        union = [m for _, members in found for m in members]
+        assert sorted(union) == list(range(1 << (n * (n - 1) // 2)))
+        for least, members in found:
+            assert members == sorted(set(members))
+            assert members[0] == least
+        assert [least for least, _ in found] == sorted(least for least, _ in found)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_members_are_the_relabelings_of_the_least_mask(self, n):
+        for least, members in edge_mask_orbits(n):
+            edges = graph_from_mask(n, least).edges()
+            relabeled = {
+                frozenset(tuple(sorted((p[i - 1] + 1, p[j - 1] + 1))) for i, j in edges)
+                for p in permutations(range(n))
+            }
+            assert {frozenset(graph_from_mask(n, m).edges()) for m in members} == relabeled
+
+
+@cache
+def oracle_json(field, mode, cross_field):
+    return json.dumps(
+        labeled_sweep(4, 5, field, mode, cross_field).to_json_dict(), sort_keys=True
+    )
+
+
+def count_analyses(monkeypatch) -> list[int]:
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return analyze_graph(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "analyze_graph", counting)
+    return calls
+
+
+class TestClassSweepAgainstLabeledOracle:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "field, mode, cross_field",
+        [
+            (GF2, MODE_CORRECTED, False),
+            (GF3, MODE_CORRECTED, False),
+            (QQ, MODE_CORRECTED, False),
+            (GF2, MODE_CORRECTED, True),
+            (GF2, MODE_PAPER_LITERAL, False),
+        ],
+        ids=["GF2", "GF3", "QQ", "cross-field", "paper-literal"],
+    )
+    def test_report_bytes_equal_the_oracle(self, field, mode, cross_field, workers):
+        report = sweep(4, 5, field, mode, cross_field, workers=workers)
+        assert json.dumps(report.to_json_dict(), sort_keys=True) == oracle_json(
+            field, mode, cross_field
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n, classes", [(4, 7), (5, 23), (6, 122)])
+    def test_one_analysis_per_class(self, monkeypatch, n, classes, workers):
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        monkeypatch.setattr("multiprocessing.Pool", _SerialPool)
+        calls = count_analyses(monkeypatch)
+        sweep(n, n, workers=workers)
+        assert calls[0] == classes
+
+    def test_paper_literal_expands_only_the_complete_graph(self, monkeypatch):
+        calls = count_analyses(monkeypatch)
+        sweep(5, 5, mode=MODE_PAPER_LITERAL)
+        assert calls[0] == 24
+
+    def test_a_failing_class_lists_every_labeled_member(self, monkeypatch):
+        def is_p4(G):
+            return G.n == 4 and sorted(a.bit_count() for a in G.adj) == [1, 1, 2, 2]
+
+        def level_wrong_for_paths(G, mode=MODE_CORRECTED):
+            cls = classify_graph(G, mode)
+            if is_p4(G):
+                cls.level = not cls.level
+            return cls
+
+        monkeypatch.setattr(classify, "classify_graph", level_wrong_for_paths)
+        calls = count_analyses(monkeypatch)
+        report = sweep(4, 4)
+        assert calls[0] == 7 + 12
+        assert [m["claim"] for m in report.mismatches] == ["level"] * 12
+        paths = {emit_graph(G) for G in iter_graphs(4) if is_p4(G)}
+        assert len(paths) == 12
+        assert {m["graph6"] for m in report.mismatches} == paths
+        assert report.claim_tallies["level"] == [41 - 12, 12]
+        assert json.dumps(report.to_json_dict(), sort_keys=True) == json.dumps(
+            labeled_sweep(4, 4).to_json_dict(), sort_keys=True
+        )
+
+
 class TestCensus:
     def test_n4_is_the_three_matchings(self):
         found = gorenstein_census(4)
@@ -253,6 +370,6 @@ class TestCensus:
         def enumerate_nothing(n):
             raise AssertionError("enumerated graphs")
 
-        monkeypatch.setattr("compedge.classify.iter_graphs", enumerate_nothing)
+        monkeypatch.setattr("compedge.classify.edge_mask_orbits", enumerate_nothing)
         with pytest.raises(ValueError, match="4 <= n_min <= n_max <= 6"):
             gorenstein_census(n)

@@ -238,7 +238,7 @@ class TestCensusCommand:
         def enumerate_nothing(n):
             raise AssertionError("enumerated graphs")
 
-        monkeypatch.setattr("compedge.classify.iter_graphs", enumerate_nothing)
+        monkeypatch.setattr("compedge.classify.edge_mask_orbits", enumerate_nothing)
         assert run(["census", "--n", "7"]) == 2
         _, err = capture(capsys)
         assert "4 <= n_min <= n_max <= 6" in err

@@ -17,7 +17,14 @@ from compedge.homology import (
     matrix_rank,
     reduced_homology_dims,
 )
-from helpers import brute_rank, complete, exact_rank_qq, rp2_6, two_k2
+from helpers import (
+    brute_rank,
+    complete,
+    exact_rank_gf2,
+    exact_rank_qq,
+    rp2_6,
+    two_k2,
+)
 
 FIELDS = [GF2, GF3, QQ, FieldSpec(5)]
 
@@ -98,6 +105,20 @@ class TestRank:
             assert matrix_rank(matrix, field) == brute_rank(
                 matrix, field.characteristic
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=12),
+        st.data(),
+    )
+    def test_gf2_matches_list_elimination(self, nrows, ncols, data):
+        # wide enough that rows meet several pivots by leading bit
+        matrix = [
+            [data.draw(st.integers(min_value=0, max_value=1)) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        assert matrix_rank(matrix, GF2) == exact_rank_gf2(matrix)
 
     def test_no_unit_pivot(self):
         # determinant -12: invertible over QQ and GF(5), singular over GF(3)
