@@ -78,11 +78,28 @@ class BettiTable:
         return "\n".join(lines)
 
 
+HOCHSTER_MAX_N = 14
+
+
+class OracleTooLargeError(ValueError):
+    """The 2^n Hochster oracle was asked for more than HOCHSTER_MAX_N
+    variables."""
+
+
 def hochster_betti(I: SqfIdeal, field: FieldSpec) -> BettiTable:
     """Oracle: Betti table from homology of the Stanley-Reisner complex
-    restricted to each of the 2^n vertex subsets."""
+    restricted to each of the 2^n vertex subsets.
+
+    Refused above HOCHSTER_MAX_N variables: the work doubles with every
+    vertex, and at the limit a rational table already takes seconds.
+    """
     if I.is_zero:
         raise ZeroIdealError("Betti table of the zero ideal is undefined")
+    if I.n > HOCHSTER_MAX_N:
+        raise OracleTooLargeError(
+            f"the Hochster oracle sums over all 2^n vertex subsets and is "
+            f"limited to n <= {HOCHSTER_MAX_N}; got n = {I.n}"
+        )
     facets = stanley_reisner_complex(I).facets
     char = field.characteristic
     entries: dict[tuple[int, int], int] = {}
@@ -274,7 +291,8 @@ def is_componentwise_linear(I: SqfIdeal, field: FieldSpec) -> bool:
       quotients, found greedily and checked colon by colon, gives a
       linear resolution over every field (Herzog-Takayama, "Resolutions
       by mapping cones", 2002).
-    - Fallback: the linear strand of the Hochster table of I_[j].
+    - Fallback: the linear strand of the Hochster table of I_[j], which
+      raises OracleTooLargeError above HOCHSTER_MAX_N variables.
     """
     top = max(I.degrees(), default=0)
     for j in range(1, top + 1):

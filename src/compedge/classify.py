@@ -3,8 +3,8 @@
 ``classify_graph`` predicts every algebraic property from graph structure
 alone; ``analyze_graph`` computes the same properties from scratch through
 the ideal, complex, homology and Betti layers, keeping every object it
-built, and reports each claim as match or mismatch (``verify_graph``
-returns just the claims).  ``sweep`` runs the verification over every
+built, and reports each claim as match or mismatch in its
+``consistency`` field.  ``sweep`` runs the verification over every
 labeled graph without isolated vertices in a vertex range, one analysis
 per isomorphism class: ``edge_mask_orbits`` groups the edge masks into
 S_n orbits, every claim is invariant under relabeling, and only a class
@@ -281,15 +281,6 @@ def analyze_graph(
         claims=claims,
     )
     return GraphAnalysis(G, I, dual, table, props, cls, consistency)
-
-
-def verify_graph(
-    G: Graph,
-    field: FieldSpec = GF2,
-    mode: str = MODE_CORRECTED,
-) -> ConsistencyResult:
-    """The claim-by-claim comparison of :func:`analyze_graph`."""
-    return analyze_graph(G, field, mode).consistency
 
 
 def edge_pairs(n: int) -> list[tuple[int, int]]:

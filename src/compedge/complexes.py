@@ -49,11 +49,6 @@ class SimplicialComplex:
     n: int
     facets: tuple[int, ...]
 
-    @classmethod
-    def from_facets(cls, n: int, masks) -> "SimplicialComplex":
-        """The complex of a family from outside, reduced to its maximal sets."""
-        return cls(n, tuple(sorted(maximal_supports(masks), key=support_sort_key)))
-
     @property
     def is_void(self) -> bool:
         return not self.facets
@@ -71,9 +66,6 @@ class SimplicialComplex:
         if self.is_void:
             return None
         return max(f.bit_count() for f in self.facets) - 1
-
-    def face_masks(self) -> set[int]:
-        return faces_of(self.facets)
 
 
 def gamma_complex(G: Graph) -> SimplicialComplex:
@@ -118,13 +110,6 @@ def stanley_reisner_complex(I: SqfIdeal) -> SimplicialComplex:
     # complements of an antichain are an antichain, so they are only sorted
     facets = sorted((full ^ p for p in minimal_primes(I)), key=support_sort_key)
     return SimplicialComplex(I.n, tuple(facets))
-
-
-def induced_subcomplex(cx: SimplicialComplex, W: int) -> SimplicialComplex:
-    """Faces of the complex contained in W (the void complex for W = 0)."""
-    if W == 0:
-        return SimplicialComplex(cx.n, ())
-    return SimplicialComplex.from_facets(cx.n, {f & W for f in cx.facets})
 
 
 def induced_subcollection(cx: SimplicialComplex, W: int) -> SimplicialComplex:
@@ -195,20 +180,9 @@ def find_well_ordered_cover(cx: SimplicialComplex, k_max: int, cover_mask=None):
     facet_set = frozenset(facets)
     if cover_mask is None:
         cover_mask = cx.vertex_mask
-    covering_sets: dict[frozenset, bool] = {}
     for k in range(1, k_max + 1):
         for idxs in permutations(range(len(facets)), k):
             seq = tuple(facets[i] for i in idxs)
-            key = frozenset(seq)
-            basic = covering_sets.get(key)
-            if basic is None:
-                union = 0
-                for f in seq:
-                    union |= f
-                basic = not cover_mask & ~union
-                covering_sets[key] = basic
-            if not basic:
-                continue
             if _check_cover_seq(facet_set, cover_mask, seq):
                 return seq
     return None

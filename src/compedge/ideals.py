@@ -4,7 +4,7 @@ A squarefree monomial is stored as the bitmask of its support; an ideal is
 its minimal generating set of such masks, kept as an inclusion antichain
 sorted by degree and then lexicographically on the variables, so that
 equal ideals compare equal structurally.  Producers here yield that form
-directly; ``SqfIdeal.from_supports`` reduces families from outside.
+directly; ``minimalize_supports`` brings any other family of supports to it.
 
 The central constructions here: the ideal with one degree n-2 generator
 per graph edge (each generator is the product of all variables except the
@@ -82,11 +82,6 @@ class SqfIdeal:
 
     n: int
     gens: tuple[int, ...]
-
-    @classmethod
-    def from_supports(cls, n: int, masks) -> "SqfIdeal":
-        """The ideal of a family from outside, reduced to its minimal sets."""
-        return cls(n, minimalize_supports(masks))
 
     @property
     def is_zero(self) -> bool:

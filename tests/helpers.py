@@ -1,14 +1,19 @@
-"""Shared test fixtures and independent brute-force oracles.
+"""Shared test fixtures, independent brute-force oracles, and the
+library's test-only routes.
 
-Everything here is deliberately written from first principles (string
+The brute-force oracles are written from first principles (string
 bit-twiddling, subset filters, cofactor determinants) so that agreement
-with the library is evidence, not circularity.
+with the library is evidence, not circularity.  The routes under "library
+routes" are not: ``from_facets``, ``induced_subcomplex``, ``matrix_rank``
+and ``boundary_matrix`` call library internals (the maximal-set reduction,
+the rank kernel, the face levels) and serve as fixtures and second
+constructions, not as independent checks of those internals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from compedge.betti import hochster_betti
 from compedge.classify import (
@@ -18,8 +23,14 @@ from compedge.classify import (
     _verify_into,
     analyze_graph,
 )
-from compedge.graphs import Graph, vertices_of
-from compedge.homology import GF2
+from compedge.complexes import (
+    SimplicialComplex,
+    is_well_ordered_facet_cover,
+    maximal_supports,
+)
+from compedge.graphs import Graph, iter_bits, vertices_of
+from compedge.homology import GF2, FieldSpec, _faces_by_dim, _rank
+from compedge.ideals import support_sort_key
 
 # ---------------------------------------------------------------- graphs
 
@@ -226,12 +237,8 @@ def brute_lcm_lattice(gens) -> list[int]:
 def rp2_6():
     """The six-vertex real projective plane: H~_1 = GF(2) over GF(2) and
     zero over every other field, because H_1 has 2-torsion."""
-    from compedge.complexes import SimplicialComplex
-
     facets = ["123", "134", "145", "156", "126", "235", "245", "246", "346", "356"]
-    return SimplicialComplex.from_facets(
-        6, [sum(1 << (int(v) - 1) for v in f) for f in facets]
-    )
+    return from_facets(6, [sum(1 << (int(v) - 1) for v in f) for f in facets])
 
 
 def brute_sr_faces(gen_supports, n) -> set[int]:
@@ -242,6 +249,76 @@ def brute_sr_faces(gen_supports, n) -> set[int]:
         for mask in range(1 << n)
         if not any(g & ~mask == 0 for g in gen_supports)
     }
+
+
+def brute_find_well_ordered_cover(cx, k_max, cover_mask=None):
+    """First facet sequence that ``is_well_ordered_facet_cover`` accepts:
+    lengths 1..k_max, and within a length every facet-index tuple in
+    lexicographic order, those with a repeated index skipped."""
+    m = len(cx.facets)
+    for k in range(1, k_max + 1):
+        for idxs in product(range(m), repeat=k):
+            if len(set(idxs)) < k:
+                continue
+            seq = tuple(cx.facets[i] for i in idxs)
+            if is_well_ordered_facet_cover(cx, seq, cover_mask):
+                return seq
+    return None
+
+
+# ------------------------------------------------------------ library routes
+
+
+def from_facets(n: int, masks) -> SimplicialComplex:
+    """The complex of a family from outside, reduced to its maximal sets."""
+    facets = sorted(maximal_supports(masks), key=support_sort_key)
+    return SimplicialComplex(n, tuple(facets))
+
+
+def induced_subcomplex(cx: SimplicialComplex, W: int) -> SimplicialComplex:
+    """Faces of the complex contained in W (the void complex for W = 0)."""
+    if W == 0:
+        return SimplicialComplex(cx.n, ())
+    return from_facets(cx.n, {f & W for f in cx.facets})
+
+
+def matrix_rank(rows: list[list[int]], field: FieldSpec) -> int:
+    """Exact rank of an integer matrix over the chosen field."""
+    p = field.characteristic
+    sparse = ({c: x for c, x in enumerate(row) if (x % p if p else x)} for row in rows)
+    return _rank([row for row in sparse if row], p)
+
+
+def boundary_matrix(cx: SimplicialComplex, k: int) -> list[list[int]]:
+    """Integer matrix of the boundary map from k-faces to (k-1)-faces.
+
+    Faces index rows and columns in lexicographic order of their sorted
+    vertex tuples; the coefficient of the face omitting the t-th smallest
+    vertex is (-1)^t.  For k = -1 the target chain group is zero and the
+    matrix has no rows.
+    """
+    if cx.is_void:
+        raise ValueError("void complex has no chain groups")
+    dim = cx.dimension
+    if not -1 <= k <= dim + 1:
+        raise ValueError(f"k={k} outside -1..{dim + 1}")
+    levels = _faces_by_dim(cx.facets)
+
+    def lex_sorted(level: list[int]) -> list[int]:
+        return sorted(level, key=vertices_of)
+
+    cols = lex_sorted(levels[k + 1]) if k + 1 < len(levels) else []
+    if k == -1:
+        return []
+    rows_faces = lex_sorted(levels[k])
+    index = {m: i for i, m in enumerate(rows_faces)}
+    matrix = [[0] * len(cols) for _ in rows_faces]
+    for c, m in enumerate(cols):
+        sign = 1
+        for v in iter_bits(m):
+            matrix[index[m ^ (1 << v)]][c] = sign
+            sign = -sign
+    return matrix
 
 
 # ------------------------------------------------------------ linear algebra

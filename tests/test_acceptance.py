@@ -17,7 +17,7 @@ import pytest
 
 import compedge
 from compedge.betti import hochster_betti, koszul_betti, multigraded_koszul_betti
-from compedge.classify import MODE_PAPER_LITERAL, sweep, verify_graph
+from compedge.classify import MODE_PAPER_LITERAL, analyze_graph, sweep
 from compedge.complexes import (
     facet_complex,
     find_well_ordered_cover,
@@ -36,7 +36,7 @@ from helpers import (
     two_k2,
 )
 
-# every claim name that verify_graph reports, grouped by the statement
+# every claim name that analyze_graph reports, grouped by the statement
 # it checks; criterion 1 requires a zero failure count for each
 SWEEP_CLAIMS = {
     "minimal prime description": ["minimal_primes", "height"],
@@ -139,7 +139,7 @@ def test_criterion_4_paper_literal_discrepancy():
         for m in rep.mismatches
     )
     # and directly at n=6, without a third full sweep
-    res = verify_graph(complete(6), GF2, MODE_PAPER_LITERAL)
+    res = analyze_graph(complete(6), GF2, MODE_PAPER_LITERAL).consistency
     bad = res.mismatches
     ok = ok and [name for name, _, _ in bad] == ["pd_reg"]
     ok = ok and res.claims["pd_reg"]["computed"] == [2, 4]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from compedge import betti
 from compedge.betti import (
     BettiTable,
+    OracleTooLargeError,
     betti_positions_check,
     hochster_betti,
     is_componentwise_linear,
@@ -25,6 +26,7 @@ from compedge.ideals import (
     alexander_dual,
     complementary_edge_ideal,
     degree_component,
+    minimalize_supports,
 )
 from conftest import random_graphs_min_degree_one
 from helpers import (
@@ -133,7 +135,7 @@ def squarefree_ideals(draw):
             )
         )
         gens.append(sum(1 << v for v in support))
-    return SqfIdeal.from_supports(n, gens)
+    return SqfIdeal(n, minimalize_supports(gens))
 
 
 class TestComponentwiseLinear:
@@ -148,7 +150,7 @@ class TestComponentwiseLinear:
         ],
     )
     def test_examples(self, gens, expected):
-        I = SqfIdeal.from_supports(5, gens)
+        I = SqfIdeal(5, minimalize_supports(gens))
         for field in (GF2, QQ):
             assert is_componentwise_linear(I, field) is expected
             assert brute_is_componentwise_linear(I, field) is expected
@@ -167,7 +169,7 @@ def quadratic_ideals(draw):
     n = draw(st.integers(min_value=4, max_value=9))
     pairs = [1 << a | 1 << b for a in range(n) for b in range(a + 1, n)]
     gens = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=12))
-    return SqfIdeal.from_supports(n, gens)
+    return SqfIdeal(n, minimalize_supports(gens))
 
 
 @pytest.fixture
@@ -274,6 +276,11 @@ class TestPositions:
             hochster_betti(SqfIdeal(4, ()), GF2)
         with pytest.raises(ZeroIdealError):
             koszul_betti(SqfIdeal(4, ()), GF2)
+
+    def test_oracle_refuses_more_than_fourteen_variables(self):
+        I = complementary_edge_ideal(cycle(15))
+        with pytest.raises(OracleTooLargeError, match="n <= 14; got n = 15"):
+            hochster_betti(I, GF2)
 
 
 def _ring_properties_gf2(I):

@@ -17,7 +17,6 @@ from compedge.classify import (
     gorenstein_census,
     graph_from_edge_mask,
     sweep,
-    verify_graph,
 )
 from compedge.graphs import emit_graph, parse_graph
 from compedge.homology import GF2, GF3, QQ
@@ -72,31 +71,33 @@ class TestClassify:
 
 class TestVerify:
     def test_two_k2_all_match(self):
-        result = verify_graph(two_k2(), GF2)
+        result = analyze_graph(two_k2(), GF2).consistency
         assert result.all_match(), result.mismatches
 
     def test_k4_corrected_matches(self):
-        assert verify_graph(complete(4), GF2, MODE_CORRECTED).all_match()
+        assert analyze_graph(complete(4), GF2, MODE_CORRECTED).consistency.all_match()
 
     def test_k4_literal_flags_pd_reg_only(self):
-        result = verify_graph(complete(4), GF2, MODE_PAPER_LITERAL)
+        result = analyze_graph(complete(4), GF2, MODE_PAPER_LITERAL).consistency
         assert [name for name, _, _ in result.mismatches] == ["pd_reg"]
         claim = result.claims["pd_reg"]
         assert claim["predicted"] == [1, 2]
         assert claim["computed"] == [2, 2]
 
     def test_paw_unmixed_prediction_matches(self):
-        result = verify_graph(paw(), GF2)
+        result = analyze_graph(paw(), GF2).consistency
         assert result.claims["unmixed"]["match"]
         assert result.claims["unmixed"]["computed"] is False
 
     def test_forest_claim_recorded_only_for_disconnected_forests(self):
-        assert "disconnected_forest_betti" in verify_graph(two_k2(), GF2).claims
-        assert "disconnected_forest_betti" not in verify_graph(path(4), GF2).claims
+        claims = analyze_graph(two_k2(), GF2).consistency.claims
+        assert "disconnected_forest_betti" in claims
+        claims = analyze_graph(path(4), GF2).consistency.claims
+        assert "disconnected_forest_betti" not in claims
 
     def test_fields_other_than_gf2(self):
         for field in (GF3, QQ):
-            assert verify_graph(p3_union_k2(), field).all_match()
+            assert analyze_graph(p3_union_k2(), field).consistency.all_match()
 
     def test_k5_union_k3_computes_that_no_order_exists(self):
         # 13 generators; the greedy order decides without a generator cap
@@ -109,7 +110,7 @@ class TestVerify:
 
     def test_record_holds_what_the_claims_were_computed_from(self):
         record = analyze_graph(paw(), GF3)
-        assert record.consistency == verify_graph(paw(), GF3)
+        assert record.consistency == analyze_graph(paw(), GF3).consistency
         assert record.table.field == GF3
         assert record.classification.chordal == record.properties.componentwise_linear_dual
 

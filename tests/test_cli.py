@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: formats, exit codes, round trips."""
 
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -23,6 +24,13 @@ from compedge.ideals import MonomialOrderCert, complementary_edge_ideal
 def capture(capsys):
     out = capsys.readouterr()
     return out.out, out.err
+
+
+def cycle_with_two_chords(n):
+    """Edge-list text of the cycle 1..n plus the chords (1, n/2) and
+    (2, n/2 + 3)."""
+    edges = [(i, i + 1) for i in range(1, n)] + [(1, n), (1, n // 2), (2, n // 2 + 3)]
+    return f"{n}\n" + "\n".join(f"{i} {j}" for i, j in edges)
 
 
 class TestAnalyze:
@@ -125,6 +133,26 @@ class TestBetti:
         doc = json.loads(capture(capsys)[0])
         assert doc["betti"]["entries"] == {"0,60": 64, "1,61": 66, "2,62": 3}
         assert elapsed < 10
+
+    @pytest.mark.parametrize("command, seconds", [("betti", 1), ("analyze", 10)])
+    def test_cross_check_above_the_oracle_limit_exits_two(
+        self, capsys, monkeypatch, command, seconds
+    ):
+        # the 2^n oracle refuses n > 14 at once instead of running for hours
+        monkeypatch.setattr("sys.stdin", io.StringIO(cycle_with_two_chords(62)))
+        start = time.perf_counter()
+        code = run([command, "-", "--format", "edge-list", "--json", "--cross-check"])
+        elapsed = time.perf_counter() - start
+        out, err = capture(capsys)
+        assert code == 2 and out == ""
+        assert "n <= 14" in err and "n = 62" in err
+        assert elapsed < seconds
+
+    def test_cross_check_at_the_oracle_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(cycle_with_two_chords(14)))
+        code = run(["betti", "-", "--format", "edge-list", "--json", "--cross-check"])
+        assert code == 0
+        assert json.loads(capture(capsys)[0])["oracle_matches"] is True
 
 
 class TestDual:
@@ -272,6 +300,31 @@ class TestUsage:
     )
     def test_options_a_command_does_not_read_are_rejected(self, capsys, argv):
         assert run(argv) == 1
+
+
+def test_package_exports_what_the_entry_points_use():
+    # what the CLI, analyze_graph, sweep, gorenstein_census and the
+    # acceptance criteria use; test-only routes live in tests/helpers.py
+    exports = {
+        "BettiTable", "ClassificationReport", "ConsistencyResult", "FieldSpec",
+        "GF2", "GF3", "Graph", "GraphAnalysis", "MonomialOrderCert",
+        "PropertyReport", "QQ", "SimplicialComplex", "SqfIdeal", "SweepReport",
+        "alexander_dual", "analyze_graph", "betti_positions_check",
+        "classify_graph", "complementary_edge_ideal", "connected_components",
+        "degree_component", "emit_graph", "facet_complex",
+        "find_well_ordered_cover", "gamma_complex", "gorenstein_census",
+        "height", "hochster_betti", "induced_subcollection", "is_chordal",
+        "is_linearly_related", "koszul_betti", "lcm_graph",
+        "linear_quotient_order", "minimal_primes", "multigraded_koszul_betti",
+        "parse_graph", "ring_properties", "stanley_reisner_complex",
+        "stanley_reisner_ideal", "sweep", "triangles",
+        "validate_standing_assumptions",
+    }
+    public = {
+        name for name, value in vars(compedge).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == exports
 
 
 def test_import_loads_neither_fractions_nor_multiprocessing():

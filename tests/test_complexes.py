@@ -2,23 +2,34 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compedge.complexes import (
-    SimplicialComplex,
+    faces_of,
     facet_complex,
     find_well_ordered_cover,
     gamma_complex,
     induced_subcollection,
-    induced_subcomplex,
     is_well_ordered_facet_cover,
     stanley_reisner_complex,
     stanley_reisner_ideal,
 )
 from compedge.graphs import is_triangle_free, mask_of, triangles, vertices_of
-from compedge.homology import GF2, reduced_homology_dims
+from compedge.homology import GF2, homology_dims_of_facets
 from compedge.ideals import complementary_edge_ideal
 from conftest import random_graphs_min_degree_one
-from helpers import brute_sr_faces, complete, graph, path, p3_union_k2, star4, two_k2
+from helpers import (
+    brute_find_well_ordered_cover,
+    brute_sr_faces,
+    complete,
+    from_facets,
+    graph,
+    induced_subcomplex,
+    path,
+    p3_union_k2,
+    star4,
+    two_k2,
+)
 
 
 def facet_sets(cx):
@@ -65,7 +76,7 @@ class TestStanleyReisner:
         assert stanley_reisner_ideal(gamma_complex(G)) == complementary_edge_ideal(G)
 
     def test_full_simplex_gives_zero_ideal(self):
-        cx = SimplicialComplex.from_facets(4, [0b1111])
+        cx = from_facets(4, [0b1111])
         assert stanley_reisner_ideal(cx).is_zero
 
     @settings(max_examples=80, deadline=None)
@@ -78,7 +89,7 @@ class TestStanleyReisner:
     def test_complex_of_ideal_has_right_faces(self, G):
         I = complementary_edge_ideal(G)
         cx = stanley_reisner_complex(I)
-        assert cx.face_masks() == brute_sr_faces(I.gens, G.n)
+        assert faces_of(cx.facets) == brute_sr_faces(I.gens, G.n)
 
 
 class TestFacetComplex:
@@ -133,7 +144,7 @@ class TestCones:
             for f in sub.facets:
                 apex &= f
             if apex:
-                assert reduced_homology_dims(sub, GF2).total() == 0
+                assert homology_dims_of_facets(sub.facets, GF2.characteristic) == ()
 
 
 class TestWellOrderedCovers:
@@ -175,7 +186,7 @@ class TestWellOrderedCovers:
         assert find_well_ordered_cover(lam, 2) == (mask_of([1, 2]), mask_of([3, 4]))
 
     def test_find_single_facet(self):
-        cx = SimplicialComplex.from_facets(4, [mask_of([1, 2, 3])])
+        cx = from_facets(4, [mask_of([1, 2, 3])])
         assert find_well_ordered_cover(cx, 1) == (mask_of([1, 2, 3]),)
 
     def test_k_max_capped(self):
@@ -191,16 +202,36 @@ class TestWellOrderedCovers:
         assert find_well_ordered_cover(sub, 1, cover_mask=mask_of([1, 2, 3])) is None
         assert find_well_ordered_cover(sub, 1) == (mask_of([2, 3]),)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_find_is_the_first_accepted_sequence(self, data):
+        # facets of one size d, so that several survive as an antichain,
+        # plus at most one mask of any size; draws favour large cases
+        n = data.draw(st.sampled_from(range(6, 1, -1)))
+        d = data.draw(st.integers(min_value=1, max_value=n - 1))
+        sized = [m for m in range(1, 1 << n) if m.bit_count() == d]
+        count = data.draw(st.sampled_from(range(min(6, len(sized)), 0, -1)))
+        masks = data.draw(
+            st.lists(st.sampled_from(sized), min_size=count, max_size=count, unique=True)
+        )
+        extra = data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=1))
+        cx = from_facets(n, masks + extra)
+        k_max = data.draw(st.sampled_from(range(len(cx.facets), 0, -1)))
+        W = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+        cover_mask = data.draw(st.sampled_from([None, W, W & cx.vertex_mask]))
+        found = find_well_ordered_cover(cx, k_max, cover_mask)
+        assert found == brute_find_well_ordered_cover(cx, k_max, cover_mask)
+
 
 class TestDegenerateComplexes:
     def test_void_vs_irrelevant(self):
-        void = SimplicialComplex.from_facets(3, [])
-        irrelevant = SimplicialComplex.from_facets(3, [0])
+        void = from_facets(3, [])
+        irrelevant = from_facets(3, [0])
         assert void.is_void and void.facets == ()
         assert irrelevant.facets == (0,) and not irrelevant.is_void
         assert void.dimension is None
         assert irrelevant.dimension == -1
 
     def test_redundant_facets_dropped(self):
-        cx = SimplicialComplex.from_facets(3, [0b011, 0b001, 0b111])
+        cx = from_facets(3, [0b011, 0b001, 0b111])
         assert cx.facets == (0b111,)

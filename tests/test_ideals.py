@@ -23,6 +23,7 @@ from compedge.ideals import (
     linear_quotient_order,
     minimal_primes,
     minimal_transversals,
+    minimalize_supports,
     monomial_str,
     support_sort_key,
 )
@@ -222,7 +223,7 @@ def squarefree_ideals(draw):
     mixed degrees, shared and disjoint supports, single variables."""
     n = draw(st.integers(min_value=1, max_value=8))
     masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=10))
-    return SqfIdeal.from_supports(n, masks)
+    return SqfIdeal(n, minimalize_supports(masks))
 
 
 class TestDegreeComponent:
@@ -292,7 +293,7 @@ class TestLcmGraph:
         assert is_linearly_related(I, rows)
 
     def test_non_equigenerated_rejected(self):
-        I = SqfIdeal.from_supports(4, [0b0011, 0b1110])
+        I = SqfIdeal(4, minimalize_supports([0b0011, 0b1110]))
         with pytest.raises(NotEquigeneratedError):
             lcm_graph(I)
 
@@ -328,7 +329,7 @@ def equigenerated_ideals(draw):
     d = draw(st.integers(min_value=1, max_value=n - 1))
     subsets = [sum(1 << v for v in c) for c in combinations(range(n), d)]
     gens = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=12))
-    return SqfIdeal.from_supports(n, gens)
+    return SqfIdeal(n, minimalize_supports(gens))
 
 
 class TestLinearlyRelated:
@@ -340,9 +341,10 @@ class TestLinearlyRelated:
     def test_two_lcms_one_unjoined(self):
         # x1x2, x2x3 and x3x4 are joined inside x1x2x3x4, but x1x2 and
         # x4x5 meet only at x1x2x4x5, which no other generator divides
-        I = SqfIdeal.from_supports(5, [mask_of(e) for e in ([1, 2], [2, 3], [3, 4], [4, 5])])
+        edges = ([1, 2], [2, 3], [3, 4], [4, 5])
+        I = SqfIdeal(5, minimalize_supports([mask_of(e) for e in edges]))
         assert not is_linearly_related(I, lcm_graph(I))
-        J = SqfIdeal.from_supports(5, I.gens[:3])
+        J = SqfIdeal(5, minimalize_supports(I.gens[:3]))
         assert is_linearly_related(J, lcm_graph(J))
 
     def test_large_complete_graphs(self):
@@ -422,7 +424,7 @@ class TestLinearQuotients:
         full = (1 << n) - 1
         pairs = [1 << a | 1 << b for a, b in combinations(range(n), 2)]
         chosen = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=10))
-        I = SqfIdeal.from_supports(n, [full ^ p for p in chosen])
+        I = SqfIdeal(n, minimalize_supports([full ^ p for p in chosen]))
         cert = linear_quotient_order(I)
         assert (cert is not None) == has_linear_quotient_order(I)
         if cert is not None:
