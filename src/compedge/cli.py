@@ -13,7 +13,7 @@ import sys
 
 from . import classify as cf
 from . import ideals as idl
-from .betti import hochster_betti, koszul_betti
+from .betti import check_oracle_size, hochster_betti, koszul_betti
 from .graphs import GraphError, connected_components, emit_graph, parse_graph, vertices_of
 from .homology import GF2, GF3, QQ, FieldSpec
 
@@ -159,6 +159,8 @@ def _emit(args, text: str) -> None:
 
 def _cmd_analyze(args) -> int:
     G = _load_graph(args)
+    if args.cross_check:
+        check_oracle_size(G.n)  # before an analysis that can take minutes
     record = cf.analyze_graph(G, _field_from_flag(args.field), args.mode)
     doc = build_analysis_document(record, args.cross_check)
     if args.as_json:

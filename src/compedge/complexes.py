@@ -144,35 +144,16 @@ def _check_cover_seq(facet_set: frozenset, cover_mask: int, seq) -> bool:
     return True
 
 
-def is_well_ordered_facet_cover(cx: SimplicialComplex, seq, cover_mask=None) -> bool:
-    """Minimal vertex-covering facet sequence with the absorption property:
-    every other facet H admits some i < k with F_i inside H union the tail
-    F_{i+1}, ..., F_k.
-
-    ``cover_mask`` is the vertex set the cover must span; it defaults to
-    the complex's own vertices.  When the complex arose by restricting the
-    facets to a multidegree, pass that multidegree: a cover certifying a
-    nonzero Betti number there must reach every variable of it, and with
-    the default mask a subcollection whose facets miss part of the
-    multidegree could wrongly certify.
-    """
-    seq = tuple(seq)
-    facet_set = frozenset(cx.facets)
-    for f in seq:
-        if f not in facet_set:
-            raise ValueError(f"sequence entry {f:#x} is not a facet")
-    if len(set(seq)) != len(seq):
-        raise ValueError("cover sequence entries must be pairwise distinct")
-    if cover_mask is None:
-        cover_mask = cx.vertex_mask
-    return _check_cover_seq(facet_set, cover_mask, seq)
-
-
 def find_well_ordered_cover(cx: SimplicialComplex, k_max: int, cover_mask=None):
-    """First accepted facet sequence of length <= k_max, scanning lengths in
-    increasing order and sequences lexicographically; None if none exists.
+    """First well-ordered facet cover of length <= k_max: a minimal
+    vertex-covering facet sequence F_1, ..., F_k in which every other facet
+    H admits some i < k with F_i inside H union F_{i+1}, ..., F_k.  Lengths
+    go up and sequences lexicographically; None if none exists.
 
-    ``cover_mask`` as in :func:`is_well_ordered_facet_cover`.
+    ``cover_mask``, by default the complex's vertices, is the vertex set the
+    cover must span.  For a complex restricted to a multidegree, pass that
+    multidegree: a cover certifying a nonzero Betti number there must reach
+    every variable of it.
     """
     facets = cx.facets
     if k_max > len(facets):

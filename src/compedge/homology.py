@@ -1,14 +1,22 @@
 """Reduced simplicial homology dimensions over exact coefficient fields.
 
-Dimensions come from exact ranks of the boundary matrices of the augmented
-chain complex, all through ``_rank`` on sparse {column: entry} rows: over
-GF(2) the rows become bitmask integers eliminated with xor; over GF(p) and
-the rationals one sparse elimination pivots on unit entries (any nonzero
-residue mod p, +-1 over the rationals), as exact homology codes do (Dumas,
-Heckenbach, Saunders and Welker, "Computing simplicial homology based on
-efficient Smith normal form algorithms", 2003).  Over the rationals, once
-no +-1 entry is left, any entry is a pivot and the entries become exact
-fractions.  No floating point appears anywhere.
+Dimensions come from exact ranks of the boundary maps of the augmented
+chain complex, given as sparse rows {column: entry}: a row per face, a
+column per face one dimension lower, both in sorted order.  One loop
+reduces the rows over every field, against pivots keyed by their leading
+(largest) column: xor on bitmasks over GF(2); over GF(p) and the
+rationals, sparse rows scaled to lead 1, so that exact fractions appear
+only for a rational lead other than +-1.  No floating point appears.
+
+The maps are reduced top down with clearing (Chen and Kerber, "Persistent
+homology computation with a twist", 2011; Bauer, Kerber and Reininghaus,
+"Clear and compress", 2014).  A reduced row of the map on (k+1)-faces is
+the boundary of a chain; when it leads with the k-face i, the boundary of
+that boundary, which is 0, writes row i of the map on k-faces through its
+earlier rows, so row i is skipped.  By induction on i the kept rows span
+the row space over every field: rank and leading columns are those of a
+full reduction.  On the Stanley-Reisner complex of the 9-cycle plus two
+chords, 246 of its 481 rows reach the kernel.
 
 Results are memoized per (facet family, characteristic) for the life of
 the process.  Per pass of the perfbench workloads, the sweep over 5-vertex
@@ -19,10 +27,10 @@ repeats that are neither void nor irrelevant come from an earlier command.
 
 from __future__ import annotations
 
+from collections.abc import KeysView
 from dataclasses import dataclass
 
 from .complexes import faces_of
-from .graphs import iter_bits
 
 
 def _is_prime(p: int) -> bool:
@@ -56,10 +64,10 @@ GF3 = FieldSpec(3)
 QQ = FieldSpec(0)
 
 
-def _rank_gf2(rows: list[dict[int, int]]) -> int:
-    """Rank over GF(2) of sparse rows, packed into bitmasks for xor.  The
-    pivots are keyed by leading bit, so a row meets only the pivots whose
-    leading bit it holds."""
+def _pivots_gf2(rows: list[dict[int, int]]) -> KeysView[int]:
+    """Pivot columns over GF(2) of sparse rows, packed into bitmasks for
+    xor.  The pivots are keyed by leading bit, so a row meets only the
+    pivots whose leading bit it holds."""
     pivots: dict[int, int] = {}
     for row in rows:
         r = 0
@@ -72,68 +80,65 @@ def _rank_gf2(rows: list[dict[int, int]]) -> int:
                 pivots[top] = r
                 break
             r ^= pivot
-    return len(pivots)
+    return pivots.keys()
 
 
-def _rank_sparse(rows: list[dict[int, int]], p: int) -> int:
-    """Rank over GF(p), or over the rationals when p == 0, of a matrix given
-    as nonempty sparse rows {column: integer nonzero mod p} (the rows are
+def _pivots_sparse(rows: list[dict[int, int]], p: int) -> KeysView[int]:
+    """Pivot columns over GF(p), or over the rationals when p == 0, of
+    nonempty sparse rows {column: integer nonzero mod p} (the rows are
     consumed).
 
-    Each step pivots on a unit entry of the sparsest row that has one (over
-    GF(p) every entry is a unit, over the rationals +-1) and clears its
-    column from the other rows.  Over the rationals +-1 pivots make these
-    invertible integer row operations; once no +-1 entry is left, the first
-    entry of the sparsest row is the pivot and entries become exact
-    fractions.
+    The loop of ``_pivots_gf2`` on dicts: a row whose leading column has
+    no pivot yet is scaled to lead 1 and kept as that column's pivot, so
+    eliminating that column from a later row takes no division.  Over the
+    rationals a lead of +-1 keeps the entries integers; only another lead
+    brings in exact fractions.
     """
-    rank = 0
-    while rows:
-        pivot = col = None
-        for row in rows:
-            if pivot is not None and len(row) >= len(pivot):
-                continue
-            for c, x in row.items():
-                if (x % p if p else x in (1, -1)):
-                    pivot, col = row, c
-                    break
-        if pivot is None:
-            # the rationals with no +-1 entry left; fractions is imported
-            # only here, because the complexes of graph ideals rarely need it
-            from fractions import Fraction
-
-            pivot = min(rows, key=len)
-            col = next(iter(pivot))
-            inv = Fraction(1, pivot[col])
-        else:
-            inv = pow(pivot[col], -1, p) if p else pivot[col]
-        remaining = []
-        for row in rows:
-            if row is pivot:
-                continue
-            y = row.get(col)
-            if y is not None:
-                f = y * inv
-                for c, x in pivot.items():
-                    w = row.get(c, 0) - f * x
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        while row:
+            top = max(row)
+            pivot = pivots.get(top)
+            if pivot is None:
+                x = row[top]
+                if (x % p if p else x) != 1:
                     if p:
-                        w %= p
-                    if w:
-                        row[c] = w
+                        inv = pow(x, -1, p)
+                    elif x == -1:
+                        inv = -1
                     else:
-                        del row[c]
-                if not row:
-                    continue
-            remaining.append(row)
-        rows = remaining
-        rank += 1
-    return rank
+                        # imported only here: graph ideals rarely need it
+                        from fractions import Fraction
+
+                        inv = 1 / Fraction(x)
+                    row = {c: y * inv for c, y in row.items()}
+                pivots[top] = row
+                break
+            f = row[top]
+            for c, y in pivot.items():
+                w = row.get(c, 0) - f * y
+                if p:
+                    w %= p
+                if w:
+                    row[c] = w
+                else:
+                    del row[c]
+    return pivots.keys()
+
+
+def _pivots(rows: list[dict[int, int]], p: int) -> KeysView[int]:
+    """Pivot (leading) columns over GF(p), or over the rationals when
+    p == 0, of nonempty sparse rows {column: integer nonzero mod p}; the
+    one field dispatch.  They are the leading columns of the row space, so
+    they depend neither on the order of the rows nor on which spanning rows
+    are given."""
+    return _pivots_gf2(rows) if p == 2 else _pivots_sparse(rows, p)
 
 
 def _rank(rows: list[dict[int, int]], p: int) -> int:
     """Exact rank over GF(p), or over the rationals when p == 0, of nonempty
-    sparse rows {column: integer nonzero mod p}; the one field dispatch."""
-    return _rank_gf2(rows) if p == 2 else _rank_sparse(rows, p)
+    sparse rows {column: integer nonzero mod p}."""
+    return len(_pivots(rows, p))
 
 
 def _faces_by_dim(facets: tuple[int, ...]) -> list[list[int]]:
@@ -171,25 +176,31 @@ def homology_dims_of_facets(facets, char: int) -> tuple[tuple[int, int], ...]:
 def _compute_dims(facets: tuple[int, ...], char: int) -> tuple[tuple[int, int], ...]:
     levels = _faces_by_dim(facets)
     top = len(levels) - 1
-    counts = [len(level) for level in levels]
-    # ranks[k] = rank of the boundary map from k-faces to (k-1)-faces;
+    # ranks[k] = rank of the boundary map on the faces with k vertices;
     # the augmentation map from vertices to the empty face always has rank 1.
     ranks = [0] * (top + 2)
     ranks[1] = 1
-    for k in range(2, top + 1):
+    cleared = ()  # the leading columns of the map above
+    for k in range(top, 1, -1):
         lower_index = {m: i for i, m in enumerate(levels[k - 1])}
         rows = []
-        for m in levels[k]:
+        for i, m in enumerate(levels[k]):
+            if i in cleared:
+                continue
             row = {}
             sign = 1
-            for v in iter_bits(m):
-                row[lower_index[m ^ (1 << v)]] = sign
+            rest = m
+            while rest:
+                low = rest & -rest
+                row[lower_index[m ^ low]] = sign
                 sign = -sign
+                rest ^= low
             rows.append(row)
-        ranks[k] = _rank(rows, char)
+        cleared = _pivots(rows, char)
+        ranks[k] = len(cleared)
     out = []
     for k in range(-1, top):
-        h = counts[k + 1] - ranks[k + 1] - ranks[k + 2]
+        h = len(levels[k + 1]) - ranks[k + 1] - ranks[k + 2]
         if h:
             out.append((k, h))
     return tuple(out)

@@ -4,10 +4,11 @@ library's test-only routes.
 The brute-force oracles are written from first principles (string
 bit-twiddling, subset filters, cofactor determinants) so that agreement
 with the library is evidence, not circularity.  The routes under "library
-routes" are not: ``from_facets``, ``induced_subcomplex``, ``matrix_rank``
-and ``boundary_matrix`` call library internals (the maximal-set reduction,
-the rank kernel, the face levels) and serve as fixtures and second
-constructions, not as independent checks of those internals.
+routes" are not: ``from_facets``, ``induced_subcomplex``, ``matrix_rank``,
+``boundary_matrix`` and ``is_well_ordered_facet_cover`` call library
+internals (the maximal-set reduction, the rank kernel, the face levels,
+the cover check) and serve as fixtures and second constructions, not as
+independent checks of those internals.
 """
 
 from __future__ import annotations
@@ -23,11 +24,7 @@ from compedge.classify import (
     _verify_into,
     analyze_graph,
 )
-from compedge.complexes import (
-    SimplicialComplex,
-    is_well_ordered_facet_cover,
-    maximal_supports,
-)
+from compedge.complexes import SimplicialComplex, _check_cover_seq, maximal_supports
 from compedge.graphs import Graph, iter_bits, vertices_of
 from compedge.homology import GF2, FieldSpec, _faces_by_dim, _rank
 from compedge.ideals import support_sort_key
@@ -280,6 +277,22 @@ def induced_subcomplex(cx: SimplicialComplex, W: int) -> SimplicialComplex:
     if W == 0:
         return SimplicialComplex(cx.n, ())
     return from_facets(cx.n, {f & W for f in cx.facets})
+
+
+def is_well_ordered_facet_cover(cx: SimplicialComplex, seq, cover_mask=None) -> bool:
+    """Minimal vertex-covering facet sequence with the absorption property,
+    as ``find_well_ordered_cover`` accepts it, with ``cover_mask`` as there;
+    a sequence holding a non-facet or a repeated facet is a ValueError."""
+    seq = tuple(seq)
+    facet_set = frozenset(cx.facets)
+    for f in seq:
+        if f not in facet_set:
+            raise ValueError(f"sequence entry {f:#x} is not a facet")
+    if len(set(seq)) != len(seq):
+        raise ValueError("cover sequence entries must be pairwise distinct")
+    if cover_mask is None:
+        cover_mask = cx.vertex_mask
+    return _check_cover_seq(facet_set, cover_mask, seq)
 
 
 def matrix_rank(rows: list[list[int]], field: FieldSpec) -> int:

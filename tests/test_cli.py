@@ -154,6 +154,31 @@ class TestBetti:
         assert code == 0
         assert json.loads(capture(capsys)[0])["oracle_matches"] is True
 
+    def test_analyze_refuses_the_oracle_before_analyzing(self, capsys, monkeypatch):
+        def analyze_graph(*args):
+            raise AssertionError("analyzed a graph the oracle refuses")
+
+        monkeypatch.setattr("compedge.classify.analyze_graph", analyze_graph)
+        monkeypatch.setattr("sys.stdin", io.StringIO(cycle_with_two_chords(62)))
+        code = run(["analyze", "-", "--format", "edge-list", "--cross-check"])
+        out, err = capture(capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "n <= 14" in err and "n = 62" in err
+
+    def test_rational_oracle_at_the_limit(self, capsys, monkeypatch):
+        # the bound separates the reduction with clearing (about 0.5 s on a
+        # 2-core machine) from one that pivots every row (11-13 s there)
+        monkeypatch.setattr("compedge.homology._dims_cache", {})
+        monkeypatch.setattr("sys.stdin", io.StringIO(cycle_with_two_chords(14)))
+        start = time.perf_counter()
+        code = run(
+            ["betti", "-", "--format", "edge-list", "--field", "q", "--json", "--cross-check"]
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert json.loads(capture(capsys)[0])["oracle_matches"] is True
+        assert elapsed < 5
+
 
 class TestDual:
     def test_split(self, capsys):
@@ -328,8 +353,9 @@ def test_package_exports_what_the_entry_points_use():
 
 
 def test_import_loads_neither_fractions_nor_multiprocessing():
-    # both are imported where they are needed: fractions by the rational
-    # rank's non-unit pivot, multiprocessing by a sweep with workers
+    # both are imported where they are needed: fractions by a rational
+    # pivot that leads with neither 1 nor -1, multiprocessing by a sweep
+    # with workers
     src = Path(compedge.__file__).resolve().parents[1]
     code = (
         "import sys, compedge, compedge.cli; "

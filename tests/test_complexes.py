@@ -10,7 +10,6 @@ from compedge.complexes import (
     find_well_ordered_cover,
     gamma_complex,
     induced_subcollection,
-    is_well_ordered_facet_cover,
     stanley_reisner_complex,
     stanley_reisner_ideal,
 )
@@ -25,6 +24,7 @@ from helpers import (
     from_facets,
     graph,
     induced_subcomplex,
+    is_well_ordered_facet_cover,
     path,
     p3_union_k2,
     star4,

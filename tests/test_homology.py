@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from compedge.complexes import faces_of, gamma_complex
+from compedge import homology
+from compedge.complexes import faces_of, gamma_complex, stanley_reisner_complex
 from compedge.graphs import mask_of
 from compedge.homology import GF2, GF3, QQ, FieldSpec, homology_dims_of_facets
+from compedge.ideals import complementary_edge_ideal
 from helpers import (
     boundary_matrix,
     brute_rank,
@@ -16,6 +18,7 @@ from helpers import (
     exact_rank_gf2,
     exact_rank_qq,
     from_facets,
+    graph,
     matrix_rank,
     rp2_6,
     two_k2,
@@ -235,3 +238,59 @@ class TestReducedHomology:
         )
         for field in FIELDS:
             assert dims(coned, field) == ()
+
+
+def full_reduction_dims(complex_, field):
+    """Nonzero reduced homology from the ranks of whole boundary matrices,
+    every row reduced and none cleared."""
+    counts = {}
+    for m in faces_of(complex_.facets):
+        counts[m.bit_count() - 1] = counts.get(m.bit_count() - 1, 0) + 1
+    dim = complex_.dimension
+    ranks = [matrix_rank(boundary_matrix(complex_, k), field) for k in range(-1, dim + 2)]
+    dims = {k: counts.get(k, 0) - ranks[k + 1] - ranks[k + 2] for k in range(-1, dim + 1)}
+    return tuple((k, h) for k, h in dims.items() if h)
+
+
+class TestClearing:
+    """The top-down reduction skips each row whose face led a reduced row
+    of the map above it; ranks and dimensions stay those of a full
+    reduction."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.builds(
+            lambda n, picks: from_facets(n, [p % (1 << n) for p in picks]),
+            st.integers(min_value=7, max_value=9),
+            st.lists(st.integers(min_value=1), min_size=1, max_size=10),
+        )
+    )
+    def test_matches_full_reduction(self, complex_):
+        for field in (GF2, GF3, QQ):
+            assert dims(complex_, field) == full_reduction_dims(complex_, field)
+
+    def test_cleared_rows_never_reach_the_kernel(self, monkeypatch):
+        # the Stanley-Reisner complex of the 9-cycle plus two chords: every
+        # set of at most six vertices and the 25 nonedge complements
+        G = graph(9, *[(i, i + 1) for i in range(1, 9)], (1, 9), (1, 4), (2, 7))
+        complex_ = stanley_reisner_complex(complementary_edge_ideal(G))
+        handed = []
+        pivots = homology._pivots
+
+        def counting(rows, p):
+            handed.append(len(rows))
+            return pivots(rows, p)
+
+        monkeypatch.setattr(homology, "_pivots", counting)
+        monkeypatch.setattr(homology, "_dims_cache", {})
+        faces = sum(1 for m in faces_of(complex_.facets) if m.bit_count() >= 2)
+        for field in (GF2, GF3, QQ):
+            expected = full_reduction_dims(complex_, field)
+            cleared = sum(
+                matrix_rank(boundary_matrix(complex_, k), field)
+                for k in range(2, complex_.dimension + 1)
+            )
+            handed.clear()
+            assert dims(complex_, field) == expected
+            # 481 rows of faces of dimension >= 1, 235 of them cleared
+            assert sum(handed) == faces - cleared == 246
