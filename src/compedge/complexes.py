@@ -31,19 +31,6 @@ def maximal_supports(masks) -> tuple[int, ...]:
     return tuple(kept)
 
 
-def faces_of(facets) -> set[int]:
-    """Every face mask of the complex generated by the facet masks."""
-    faces = set()
-    for f in facets:
-        s = f
-        while True:
-            faces.add(s)
-            if s == 0:
-                break
-            s = (s - 1) & f
-    return faces
-
-
 @dataclass(frozen=True, slots=True)
 class SimplicialComplex:
     n: int

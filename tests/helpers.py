@@ -248,6 +248,19 @@ def brute_sr_faces(gen_supports, n) -> set[int]:
     }
 
 
+def faces_of(facets) -> set[int]:
+    """Every face mask of the complex generated by the facet masks."""
+    faces = set()
+    for f in facets:
+        s = f
+        while True:
+            faces.add(s)
+            if s == 0:
+                break
+            s = (s - 1) & f
+    return faces
+
+
 def brute_find_well_ordered_cover(cx, k_max, cover_mask=None):
     """First facet sequence that ``is_well_ordered_facet_cover`` accepts:
     lengths 1..k_max, and within a length every facet-index tuple in

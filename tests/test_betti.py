@@ -1,12 +1,13 @@
 """Betti tables: the two engines, fixed points, and derived properties."""
 
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compedge import betti
+from compedge import betti, homology
 from compedge.betti import (
     BettiTable,
     OracleTooLargeError,
@@ -34,6 +35,7 @@ from helpers import (
     brute_is_componentwise_linear,
     complete,
     cycle,
+    graph,
     has_linear_quotient_order,
     has_linear_resolution,
     path,
@@ -95,6 +97,41 @@ class TestEngineAgreement:
     def test_beyond_the_acceptance_range_qq(self, G):
         I = complementary_edge_ideal(G)
         assert koszul_betti(I, QQ).entries == hochster_betti(I, QQ).entries
+
+
+class TestOracleMemo:
+    """The Hochster oracle renames each restriction's vertices before the
+    memo, so restrictions that are one complex under other names can share
+    a computation."""
+
+    def test_isomorphic_restrictions_are_computed_once(self, monkeypatch):
+        # the 9-cycle plus chords (1,4) and (2,7): 21 complexes per field
+        # when the restrictions keep their vertex names
+        G = graph(9, *[(i, i + 1) for i in range(1, 9)], (1, 9), (1, 4), (2, 7))
+        I = complementary_edge_ideal(G)
+        computed = []
+        compute = homology._compute_dims
+
+        def counting(facets, char):
+            computed.append(facets)
+            return compute(facets, char)
+
+        monkeypatch.setattr(homology, "_compute_dims", counting)
+        monkeypatch.setattr(homology, "_dims_cache", {})
+        for field in (GF2, GF3, QQ):
+            computed.clear()
+            table = hochster_betti(I, field)
+            assert table.entries == {(0, 7): 11, (1, 8): 13, (2, 9): 3}
+            assert len(computed) == 8
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(random_graphs_min_degree_one(4, 9), st.sampled_from([GF2, QQ]))
+    def test_engines_agree_on_their_own_memo_entries(self, G, field):
+        I = complementary_edge_ideal(G)
+        with mock.patch.dict(homology._dims_cache, clear=True):
+            koszul = koszul_betti(I, field).entries
+            homology._dims_cache.clear()
+            assert hochster_betti(I, field).entries == koszul
 
 
 class TestTorsion:

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compedge.complexes import (
-    faces_of,
     facet_complex,
     find_well_ordered_cover,
     gamma_complex,
@@ -21,6 +20,7 @@ from helpers import (
     brute_find_well_ordered_cover,
     brute_sr_faces,
     complete,
+    faces_of,
     from_facets,
     graph,
     induced_subcomplex,
