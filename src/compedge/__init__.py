@@ -54,7 +54,6 @@ from .ideals import (
     SqfIdeal,
     alexander_dual,
     complementary_edge_ideal,
-    degree_component,
     height,
     is_linearly_related,
     lcm_graph,

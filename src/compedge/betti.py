@@ -22,14 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .complexes import maximal_supports, stanley_reisner_complex
-from .graphs import iter_bits
+from .graphs import elimination_order, iter_bits
 from .homology import FieldSpec, facet_holders, homology_dims_of_facets
 from .ideals import (
+    IdealError,
+    MonomialOrderCert,
     SqfIdeal,
     ZeroIdealError,
-    degree_component,
     lcm_lattice,
-    linear_quotient_order,
 )
 
 
@@ -226,24 +226,17 @@ def _has_face_of_size(I: SqfIdeal, size: int) -> bool:
     return True
 
 
-def _nonlinear_witness(comp: SqfIdeal, field: FieldSpec) -> bool:
-    """A chordless cycle W of length >= 4 among the non-generator pairs of
-    a quadratic ideal, confirmed by H~_1(Delta(comp)_W) != 0.
+def _nonlinear_witness(adj, field: FieldSpec) -> bool:
+    """A chordless cycle W of length >= 4 in the graph H with adjacency
+    rows ``adj``, confirmed by H~_1(Delta_W) != 0, where Delta is the
+    clique complex of H: the complex of the ideal of H's nonedges.
 
-    The non-generator pairs are the edges of the complement H of the
-    generator graph.  For each induced path a - v - b in H, a shortest
-    a - b path avoiding the other neighbours of v closes a chordless
-    cycle; H is chordal iff no such path exists.  Delta(comp) is the
-    clique complex of H, and W spans no triangle of H (checked), so the
-    edges of H inside W are all of Delta(comp)_W above the vertices.
+    For each induced path a - v - b in H, a shortest a - b path avoiding
+    the other neighbours of v closes a chordless cycle; H is chordal iff
+    no such path exists.  W spans no triangle of H (checked), so the
+    edges of H inside W are all of Delta_W above the vertices.
     """
-    full = (1 << comp.n) - 1
-    adj = [full ^ 1 << v for v in range(comp.n)]  # rows of H
-    for g in comp.gens:
-        x, y = iter_bits(g)
-        adj[x] &= ~(1 << y)
-        adj[y] &= ~(1 << x)
-    for v in range(comp.n):
+    for v in range(len(adj)):
         around = adj[v]
         for a in iter_bits(around):
             # b > a, so each induced path is tried once
@@ -287,49 +280,71 @@ def _shortest_path(adj, a: int, b: int, allowed: int) -> int:
     return path
 
 
-def is_componentwise_linear(I: SqfIdeal, field: FieldSpec) -> bool:
-    """Every degree component I_[j] has a linear resolution.
+def _elimination_certificate(adj) -> MonomialOrderCert | None:
+    """Linear quotients of the ideal of the nonedges of the graph with rows
+    ``adj``, the nonedges taken in lexicographic order of their perfect
+    elimination positions; None when a step fails.
 
-    Components above D, the largest generator degree, need no check.  For
-    j >= D the squarefree component I_[j] has Stanley-Reisner complex
-    Delta(I) together with every set of size below j.  That complex holds
-    the full (j-2)-skeleton and agrees with Delta(I) from dimension j - 1
-    up, so by Hochster's formula I_[j] has a linear resolution iff
-    H~_k(Delta(I)_W) = 0 for every W and every k >= j - 1.  The condition
-    weakens as j grows, so j = D implies every larger j.
-
-    The components j <= D are decided in turn by exact arguments, and the
-    Hochster sum over all 2^n vertex sets runs only when none applies:
-
-    - Dimension step, j = D: when Delta(I) has no face of size D its
-      dimension is at most D - 2, the condition above is vacuous, and
-      I_[D] is never built.
-    - Witness, j = 2: a chordless cycle W of length >= 4 in the
-      complement of the generator graph has H~_1(Delta_W) != 0, a Betti
-      number off the linear strand (Froberg, "On Stanley-Reisner rings",
-      1990: a quadratic ideal has a linear resolution iff that complement
-      is chordal).  The homology is computed, not assumed.
-    - Certificate, any j: an order of the generators with linear
-      quotients, found greedily and checked colon by colon, gives a
-      linear resolution over every field (Herzog-Takayama, "Resolutions
-      by mapping cones", 2002).
-    - Fallback: the linear strand of the Hochster table of I_[j], which
-      raises OracleTooLargeError above HOCHSTER_MAX_N variables.
+    At the step of {a, b}, with P the graph of the earlier nonedges and V
+    the P-neighbours of a or b, the colon is generated by variables iff
+    no edge of P lies outside V | {a, b}, and then V generates it.  On a
+    chordal graph no step fails: for an earlier {c, d} missing {a, b},
+    with c eliminated first, c is not adjacent to both a and b (its later
+    neighbours are a clique), so {c, a} or {c, b} came earlier.
     """
-    top = max(I.degrees(), default=0)
-    for j in range(1, top + 1):
-        if j == top and not _has_face_of_size(I, top):
-            return True
-        comp = degree_component(I, j)
-        if comp.is_zero:
-            continue
-        if j == 2 and _nonlinear_witness(comp, field):
-            return False
-        if linear_quotient_order(comp) is not None:
-            continue
-        if any(b != a + j for a, b in hochster_betti(comp, field).entries):
-            return False
-    return True
+    full = (1 << len(adj)) - 1
+    elim = elimination_order(adj)
+    placed = [0] * len(adj)  # rows of P
+    order: list[int] = []
+    steps: list[tuple[int, ...]] = []
+    for i, a in enumerate(elim):
+        for b in elim[i + 1:]:
+            if adj[a] >> b & 1:
+                continue
+            variables = placed[a] | placed[b]
+            outside = full & ~(variables | 1 << a | 1 << b)
+            if any(placed[x] & outside for x in iter_bits(outside)):
+                return None
+            order.append(1 << a | 1 << b)
+            steps.append(tuple(1 << v for v in iter_bits(variables)))
+            placed[a] |= 1 << b
+            placed[b] |= 1 << a
+    return MonomialOrderCert(tuple(order), tuple(steps))
+
+
+class NotAGraphDualError(IdealError):
+    """An ideal outside the shape of a graph's dual, or one that neither
+    the witness nor the certificate decided (impossible in that shape)."""
+
+
+def dual_is_componentwise_linear(dual: SqfIdeal, field: FieldSpec) -> bool:
+    """Whether the dual J of a graph's ideal is componentwise linear: iff
+    the graph H of the pairs that are not generators of J is chordal.
+    For the dual of G's ideal, H is G.
+
+    J is generated by the nonedges and the triangles of G, so J_[1] = 0,
+    and Delta(J) has no face of size 3 (computed: the dimension step).
+    For j >= 3, J_[j] has complex Delta(J) plus every set of size below
+    j, so by Hochster's formula it has a linear resolution iff
+    H~_k(Delta(J)_W) = 0 for all W and k >= j - 1: true in dimension 1.
+    So J is componentwise linear iff its quadratic part J_[2] has a
+    linear resolution, iff H is chordal (Froberg, "On Stanley-Reisner
+    rings", 1990).  A chordless cycle of H is the witness against, its
+    H~_1 computed; the elimination certificate's linear quotients are
+    the proof for, over every field (Herzog-Takayama, "Resolutions by
+    mapping cones", 2002).  No step sums over vertex subsets.
+    """
+    if not dual.degrees() <= {2, 3} or _has_face_of_size(dual, 3):
+        raise NotAGraphDualError("the dual has a face of size 3 or a degree outside 2..3")
+    gens = set(dual.gens)
+    vertices = range(dual.n)
+    adj = [sum(1 << u for u in vertices if u != v and 1 << u | 1 << v not in gens)
+           for v in vertices]  # rows of H
+    if _nonlinear_witness(adj, field):
+        return False
+    if _elimination_certificate(adj) is not None:
+        return True
+    raise NotAGraphDualError("neither a chordless cycle nor an elimination certificate")
 
 
 def is_gorenstein(table: BettiTable, height: int) -> bool:
@@ -350,7 +365,9 @@ def ring_properties(
     Cohen-Macaulayness is tested as pd(I) + 1 equal to the height, the
     last resolution step decides Gorenstein (total rank one) and level
     (single shift), and the dual's componentwise linearity stands in for
-    sequential Cohen-Macaulayness.
+    sequential Cohen-Macaulayness.  ``dual`` must have the shape of a
+    graph's dual (see :func:`dual_is_componentwise_linear`), or
+    NotAGraphDualError is raised.
     """
     if I.is_zero:
         raise ZeroIdealError("ring properties of the zero ideal are undefined")
@@ -368,7 +385,7 @@ def ring_properties(
     ht = min(heights)
     cm = pd + 1 == ht
     level = cm and len(shifts_per_step[pd]) == 1
-    cw_dual = is_componentwise_linear(dual, field)
+    cw_dual = dual_is_componentwise_linear(dual, field)
     return PropertyReport(
         pd=pd,
         reg=reg,

@@ -20,6 +20,7 @@ mode is kept so the discrepancy stays visible.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from dataclasses import dataclass
@@ -327,13 +328,15 @@ def edge_mask_orbits(n: int):
         yield mask, members
 
 
-def _graph_classes(n: int) -> list[tuple[int, list[int]]]:
-    """The orbits of graphs on [n] with no isolated vertex."""
+@functools.cache
+def _graph_classes(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The orbits of graphs on [n] with no isolated vertex, computed once
+    per process and shared, so they are immutable."""
     pairs = edge_pairs(n)
-    return [
-        orbit for orbit in edge_mask_orbits(n)
-        if graph_from_edge_mask(n, orbit[0], pairs) is not None
-    ]
+    return tuple(
+        (least, tuple(members)) for least, members in edge_mask_orbits(n)
+        if graph_from_edge_mask(n, least, pairs) is not None
+    )
 
 
 @dataclass

@@ -323,30 +323,33 @@ def triangles(G: Graph) -> list[int]:
     return out
 
 
-def is_chordal(G: Graph) -> bool:
-    """Chordality via maximum cardinality search plus elimination check.
+def elimination_order(adj) -> list[int]:
+    """Reversed maximum cardinality search on the graph with these
+    adjacency rows: a perfect elimination ordering, each vertex's later
+    neighbours a clique, exactly when the graph is chordal
+    (Tarjan-Yannakakis 1984).
 
     MCS visits vertices by decreasing count of visited neighbors (smallest
-    index breaks ties); the reverse visit order is a perfect elimination
-    ordering exactly when the graph is chordal, which the second loop
-    verifies directly.
+    index breaks ties).
     """
-    n = G.n
+    n = len(adj)
     weight = [0] * n
-    unvisited = G.full_mask
+    unvisited = (1 << n) - 1
     visit = []
     for _ in range(n):
-        best = -1
-        best_w = -1
-        for i in iter_bits(unvisited):
-            if weight[i] > best_w:
-                best, best_w = i, weight[i]
+        best = max(iter_bits(unvisited), key=weight.__getitem__)  # first of the ties
         visit.append(best)
         unvisited ^= 1 << best
-        for i in iter_bits(G.adj[best] & unvisited):
+        for i in iter_bits(adj[best] & unvisited):
             weight[i] += 1
-    elim = visit[::-1]
-    pos = [0] * n
+    return visit[::-1]
+
+
+def is_chordal(G: Graph) -> bool:
+    """Whether :func:`elimination_order` is a perfect elimination
+    ordering, checked directly."""
+    elim = elimination_order(G.adj)
+    pos = [0] * G.n
     for p, v in enumerate(elim):
         pos[v] = p
     remaining = G.full_mask

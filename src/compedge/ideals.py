@@ -19,7 +19,6 @@ definition, colon by colon.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graphs import (
     Graph,
@@ -153,29 +152,6 @@ def alexander_dual(I: SqfIdeal) -> SqfIdeal:
     """Squarefree dual: generators are the minimal prime supports."""
     # minimal_transversals returns a canonically sorted antichain
     return SqfIdeal(I.n, tuple(minimal_primes(I)))
-
-
-def degree_component(I: SqfIdeal, j: int) -> SqfIdeal:
-    """The ideal generated by all degree-j squarefree monomials inside I."""
-    if j < 1:
-        raise ValueError("degree component needs j >= 1")
-    full = (1 << I.n) - 1
-    out = set()
-    for g in I.gens:
-        d = g.bit_count()
-        if d > j:
-            continue
-        if d == j:
-            out.add(g)
-            continue
-        free = list(iter_bits(full ^ g))
-        for combo in combinations(free, j - d):
-            m = g
-            for b in combo:
-                m |= 1 << b
-            out.add(m)
-    # distinct sets of one size are an antichain, so they are only sorted
-    return SqfIdeal(I.n, tuple(sorted(out, key=support_sort_key)))
 
 
 def lcm_graph(I: SqfIdeal) -> tuple[int, ...]:

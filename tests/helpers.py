@@ -8,14 +8,18 @@ routes" are not: ``from_facets``, ``induced_subcomplex``, ``matrix_rank``,
 ``boundary_matrix`` and ``is_well_ordered_facet_cover`` call library
 internals (the maximal-set reduction, the rank kernel, the face levels,
 the cover check) and serve as fixtures and second constructions, not as
-independent checks of those internals.
+independent checks of those internals.  Likewise
+``general_is_componentwise_linear``, the decision for any squarefree
+ideal, runs the library's witness, greedy order and Hochster sum.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from compedge import betti, ideals
 from compedge.betti import hochster_betti
 from compedge.classify import (
     MODE_CORRECTED,
@@ -27,7 +31,7 @@ from compedge.classify import (
 from compedge.complexes import SimplicialComplex, _check_cover_seq, maximal_supports
 from compedge.graphs import Graph, iter_bits, vertices_of
 from compedge.homology import GF2, FieldSpec, _faces_by_dim, _rank
-from compedge.ideals import support_sort_key
+from compedge.ideals import SqfIdeal, support_sort_key
 
 # ---------------------------------------------------------------- graphs
 
@@ -68,6 +72,17 @@ def paw():
 
 def p3_union_k2():
     return graph(5, (1, 2), (2, 3), (4, 5))
+
+
+def two_tree(n, seed=1):
+    """A random 2-tree: from the edge 1-2, each new vertex is joined to
+    both ends of an edge chosen with ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    edges = [(1, 2)]
+    for v in range(3, n + 1):
+        a, b = rng.choice(edges)
+        edges += [(a, v), (b, v)]
+    return graph(n, *edges)
 
 
 def graph_from_mask(n, mask):
@@ -424,15 +439,87 @@ def has_linear_resolution(I, field) -> bool:
     return all(j == i + d for i, j in hochster_betti(I, field).entries)
 
 
+def degree_component(I, j):
+    """The ideal generated by all degree-j squarefree monomials inside I."""
+    if j < 1:
+        raise ValueError("degree component needs j >= 1")
+    full = (1 << I.n) - 1
+    out = set()
+    for g in I.gens:
+        d = g.bit_count()
+        if d > j:
+            continue
+        if d == j:
+            out.add(g)
+            continue
+        for combo in combinations(iter_bits(full ^ g), j - d):
+            out.add(g | sum(1 << b for b in combo))
+    # distinct sets of one size are an antichain, so they are only sorted
+    return SqfIdeal(I.n, tuple(sorted(out, key=support_sort_key)))
+
+
 def brute_is_componentwise_linear(I, field) -> bool:
     """Linear resolution of every squarefree degree component, j = 1..n."""
-    from compedge.ideals import degree_component
-
     for j in range(1, I.n + 1):
         comp = degree_component(I, j)
         if not comp.is_zero and not has_linear_resolution(comp, field):
             return False
     return True
+
+
+def general_is_componentwise_linear(I, field) -> bool:
+    """Every degree component I_[j] of any squarefree ideal has a linear
+    resolution: the general decision, a library route through the
+    dimension step, the witness, the greedy order and the Hochster sum.
+    They are looked up on their modules at each call, so a test can count
+    them; ``has_linear_resolution`` keeps its own ``hochster_betti``.
+
+    Components above D, the largest generator degree, need no check.  For
+    j >= D the squarefree component I_[j] has Stanley-Reisner complex
+    Delta(I) together with every set of size below j.  That complex holds
+    the full (j-2)-skeleton and agrees with Delta(I) from dimension j - 1
+    up, so by Hochster's formula I_[j] has a linear resolution iff
+    H~_k(Delta(I)_W) = 0 for every W and every k >= j - 1.  The condition
+    weakens as j grows, so j = D implies every larger j.
+
+    The components j <= D are decided in turn, and the Hochster sum over
+    all 2^n vertex sets runs only when no exact argument applies:
+
+    - Dimension step, j = D: when Delta(I) has no face of size D its
+      dimension is at most D - 2, the condition above is vacuous, and
+      I_[D] is never built.
+    - Witness, j = 2: a chordless cycle of length >= 4 in the complement
+      of the generator graph, its homology computed (Froberg 1990).
+    - Certificate, any j: a greedy order with linear quotients
+      (Herzog-Takayama 2002).
+    - Fallback: the linear strand of the Hochster table of I_[j].
+    """
+    top = max(I.degrees(), default=0)
+    for j in range(1, top + 1):
+        if j == top and not betti._has_face_of_size(I, top):
+            return True
+        comp = degree_component(I, j)
+        if comp.is_zero:
+            continue
+        if j == 2 and betti._nonlinear_witness(complement_rows(comp), field):
+            return False
+        if ideals.linear_quotient_order(comp) is not None:
+            continue
+        if any(b != a + j for a, b in betti.hochster_betti(comp, field).entries):
+            return False
+    return True
+
+
+def complement_rows(comp):
+    """Adjacency rows of the graph of the pairs that are not generators of
+    a quadratic ideal."""
+    full = (1 << comp.n) - 1
+    adj = [full ^ 1 << v for v in range(comp.n)]
+    for g in comp.gens:
+        x, y = iter_bits(g)
+        adj[x] &= ~(1 << y)
+        adj[y] &= ~(1 << x)
+    return adj
 
 
 # -------------------------------------------------------- quotient orders

@@ -7,26 +7,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compedge import betti, homology
+import helpers
+from compedge import betti, homology, ideals
 from compedge.betti import (
     BettiTable,
+    NotAGraphDualError,
     OracleTooLargeError,
+    _elimination_certificate,
     betti_positions_check,
+    dual_is_componentwise_linear,
     hochster_betti,
-    is_componentwise_linear,
     koszul_betti,
     multigraded_koszul_betti,
     ring_properties,
 )
-from compedge.graphs import is_chordal, is_connected, mask_of
+from compedge.classify import _graph_classes, graph_from_edge_mask
+from compedge.graphs import (
+    Graph,
+    is_chordal,
+    is_connected,
+    iter_bits,
+    mask_of,
+    nonedge_masks,
+)
 from compedge.complexes import stanley_reisner_ideal
 from compedge.homology import GF2, GF3, QQ, FieldSpec
 from compedge.ideals import (
+    IdealError,
     SqfIdeal,
     ZeroIdealError,
     alexander_dual,
     complementary_edge_ideal,
-    degree_component,
     minimalize_supports,
 )
 from conftest import random_graphs_min_degree_one
@@ -35,6 +46,8 @@ from helpers import (
     brute_is_componentwise_linear,
     complete,
     cycle,
+    degree_component,
+    general_is_componentwise_linear,
     graph,
     has_linear_quotient_order,
     has_linear_resolution,
@@ -176,6 +189,9 @@ def squarefree_ideals(draw):
 
 
 class TestComponentwiseLinear:
+    """The general decision in helpers against the brute oracle, and the
+    production decision for graph duals against both."""
+
     @pytest.mark.parametrize(
         "gens,expected",
         [
@@ -189,15 +205,112 @@ class TestComponentwiseLinear:
     def test_examples(self, gens, expected):
         I = SqfIdeal(5, minimalize_supports(gens))
         for field in (GF2, QQ):
-            assert is_componentwise_linear(I, field) is expected
+            assert general_is_componentwise_linear(I, field) is expected
             assert brute_is_componentwise_linear(I, field) is expected
 
     @settings(max_examples=150, deadline=None)
     @given(squarefree_ideals(), st.sampled_from([GF2, QQ]))
     def test_truncated_at_top_degree_matches_every_degree(self, I, field):
-        assert is_componentwise_linear(I, field) == brute_is_componentwise_linear(
+        assert general_is_componentwise_linear(
             I, field
-        )
+        ) == brute_is_componentwise_linear(I, field)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_graph_duals_match_the_general_decision_on_every_class(self, n):
+        for least, _ in _graph_classes(n):
+            G = graph_from_edge_mask(n, least)
+            dual = alexander_dual(complementary_edge_ideal(G))
+            for field in (GF2, QQ):
+                decided = dual_is_componentwise_linear(dual, field)
+                assert decided == general_is_componentwise_linear(dual, field)
+                assert decided == is_chordal(G)
+
+
+def nonedge_ideal(G):
+    """The ideal of the nonedges of G: the quadratic part of its dual."""
+    return SqfIdeal(G.n, tuple(nonedge_masks(G)))
+
+
+@st.composite
+def chordal_graphs(draw):
+    """Chordal graphs on 5..14 vertices under a random labeling, built
+    three ways: a k-tree (each new vertex joined to a k-clique), an
+    induced subgraph of one, and each new vertex joined to any clique of
+    the graph so far, the empty one included.  Smaller graphs are all
+    covered by the classes."""
+    n = draw(st.integers(min_value=5, max_value=14))
+    kind = draw(st.sampled_from(["k-tree", "induced", "clique"]))
+    adj = [0] * n
+
+    def join(v, clique):
+        for u in iter_bits(clique):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+
+    if kind == "clique":
+        for v in range(1, n):
+            seed = draw(st.integers(min_value=0, max_value=v - 1))
+            flags = draw(st.lists(st.booleans(), min_size=v, max_size=v))
+            keep = sum(1 << u for u, flag in enumerate(flags) if flag)
+            # a clique inside the closed neighbourhood of the seed vertex
+            clique = 0
+            for u in iter_bits((adj[seed] | 1 << seed) & keep):
+                if clique & ~adj[u] == 0:
+                    clique |= 1 << u
+            join(v, clique)
+    else:
+        k = draw(st.integers(min_value=1, max_value=4))
+        cliques = [(1 << k + 1) - 1]  # the maximal cliques, k + 1 vertices each
+        for v in range(k + 1):
+            join(v, (1 << v) - 1)
+        for v in range(k + 1, n):
+            base = draw(st.sampled_from(cliques))
+            drop = draw(st.sampled_from(list(iter_bits(base))))
+            clique = base ^ 1 << drop
+            join(v, clique)
+            cliques.append(clique | 1 << v)
+        if kind == "induced":
+            dropped = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+            vertices = [v for v in range(n) if v not in dropped]
+            adj = [
+                sum(1 << i for i, u in enumerate(vertices) if adj[w] >> u & 1)
+                for w in vertices
+            ]
+            n = len(vertices)
+    relabel = draw(st.permutations(range(n)))
+    rows = [0] * n
+    for v in range(n):
+        for u in iter_bits(adj[v]):
+            rows[relabel[v]] |= 1 << relabel[u]
+    return Graph(n, tuple(rows))
+
+
+class TestEliminationCertificate:
+    """The linear quotients of a graph's nonedges from its perfect
+    elimination order, checked colon by colon against the definition."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_valid_on_every_chordal_class(self, n):
+        for least, _ in _graph_classes(n):
+            G = graph_from_edge_mask(n, least)
+            cert = _elimination_certificate(list(G.adj))
+            if is_chordal(G):
+                assert cert is not None and cert.is_valid_for(nonedge_ideal(G))
+            else:
+                assert cert is None
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(chordal_graphs())
+    def test_valid_on_random_chordal_graphs(self, G):
+        assert is_chordal(G)
+        cert = _elimination_certificate(list(G.adj))
+        assert cert is not None and cert.is_valid_for(nonedge_ideal(G))
+
+    def test_two_tree_at_thirty(self):
+        G = helpers.two_tree(30)
+        cert = _elimination_certificate(list(G.adj))
+        assert len(cert.order) == 30 * 29 // 2 - G.edge_count()
+        assert cert.is_valid_for(nonedge_ideal(G))
 
 
 @st.composite
@@ -211,15 +324,16 @@ def quadratic_ideals(draw):
 
 @pytest.fixture
 def decisions(monkeypatch):
-    """Count the components that each step of is_componentwise_linear
-    decided: a confirmed witness, a linear-quotient certificate or the
-    Hochster fallback; also count the degree components built.  The
-    oracle in helpers binds its own hochster_betti, so its calls are not
-    counted."""
+    """Count what each step decided.  Production: the dimension step (no
+    face of size 3), a confirmed witness, an elimination certificate.
+    The general decision in helpers adds the greedy certificate, the
+    Hochster fallback and the degree components it builds; its
+    ``has_linear_resolution`` binds its own hochster_betti, so those
+    calls are not counted."""
     counts = Counter()
 
-    def counting(name, decided):
-        original = getattr(betti, name)
+    def counting(module, name, decided):
+        original = getattr(module, name)
 
         def wrapper(*args):
             out = original(*args)
@@ -227,22 +341,25 @@ def decisions(monkeypatch):
                 counts[name] += 1
             return out
 
-        monkeypatch.setattr(betti, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counting("_nonlinear_witness", bool)
-    counting("linear_quotient_order", lambda cert: cert is not None)
-    counting("hochster_betti", lambda table: True)
-    counting("degree_component", lambda comp: True)
+    counting(betti, "_has_face_of_size", lambda found: not found)
+    counting(betti, "_nonlinear_witness", bool)
+    counting(betti, "_elimination_certificate", lambda cert: cert is not None)
+    counting(ideals, "linear_quotient_order", lambda cert: cert is not None)
+    counting(betti, "hochster_betti", lambda table: True)
+    counting(helpers, "degree_component", lambda comp: True)
     return counts
 
 
 class TestDecisionPaths:
-    """Each step of is_componentwise_linear against the Hochster oracle."""
+    """Each step of the production decision and of the general one in
+    helpers, against the Hochster oracle."""
 
     def test_c4_dual_is_refuted_by_a_witness(self, decisions):
         dual = alexander_dual(complementary_edge_ideal(cycle(4)))
-        assert not is_componentwise_linear(dual, GF2)
-        assert decisions == {"degree_component": 2, "_nonlinear_witness": 1}
+        assert not dual_is_componentwise_linear(dual, GF2)
+        assert decisions == {"_has_face_of_size": 1, "_nonlinear_witness": 1}
         assert not has_linear_resolution(degree_component(dual, 2), GF2)
 
     def test_paw_dual_needs_a_certificate_and_the_dimension_step(self, decisions):
@@ -250,8 +367,8 @@ class TestDecisionPaths:
         # graph, so no face of size 3 exists and I_[3] is never built
         dual = alexander_dual(complementary_edge_ideal(paw()))
         assert dual.degrees() == {2, 3}
-        assert is_componentwise_linear(dual, GF2)
-        assert decisions == {"degree_component": 2, "linear_quotient_order": 1}
+        assert dual_is_componentwise_linear(dual, GF2)
+        assert decisions == {"_has_face_of_size": 1, "_elimination_certificate": 1}
         assert has_linear_resolution(degree_component(dual, 3), GF2)
 
     def test_projective_plane_dual_falls_back_to_hochster(self, decisions):
@@ -261,7 +378,7 @@ class TestDecisionPaths:
         assert dual.degrees() == {3} and len(dual.gens) == 10
         assert not has_linear_quotient_order(dual)
         for field, expected in ((GF2, False), (GF3, True), (QQ, True)):
-            assert is_componentwise_linear(dual, field) is expected
+            assert general_is_componentwise_linear(dual, field) is expected
             assert has_linear_resolution(dual, field) is expected
         assert decisions["hochster_betti"] == 3
         assert decisions["linear_quotient_order"] == 0
@@ -270,19 +387,60 @@ class TestDecisionPaths:
         @settings(max_examples=120, deadline=None, derandomize=True)
         @given(quadratic_ideals(), st.sampled_from([GF2, GF3, QQ]))
         def quadratic(I, field):
-            assert is_componentwise_linear(I, field) == has_linear_resolution(I, field)
+            assert general_is_componentwise_linear(I, field) == has_linear_resolution(
+                I, field
+            )
 
         @settings(max_examples=120, deadline=None, derandomize=True)
         @given(squarefree_ideals(), st.sampled_from([GF2, QQ]))
         def mixed(I, field):
-            assert is_componentwise_linear(I, field) == brute_is_componentwise_linear(
+            assert general_is_componentwise_linear(
                 I, field
-            )
+            ) == brute_is_componentwise_linear(I, field)
 
         quadratic()
         mixed()
         for step in ("_nonlinear_witness", "linear_quotient_order", "hochster_betti"):
             assert decisions[step] > 0, step
+
+
+class TestOutsideTheGraphShape:
+    """The production decision answers only for a graph's dual and raises
+    a typed error otherwise; no silent answer and no Hochster sum."""
+
+    @pytest.fixture(autouse=True)
+    def _refuse_hochster(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("hochster_betti called")
+
+        monkeypatch.setattr(betti, "hochster_betti", refuse)
+
+    @pytest.mark.parametrize("field", [GF2, GF3, QQ])
+    def test_projective_plane_dual(self, field):
+        I = stanley_reisner_ideal(rp2_6())
+        with pytest.raises(NotAGraphDualError):
+            ring_properties(I, field, koszul_betti(I, field), alexander_dual(I))
+
+    def test_degree_four_generator(self):
+        # the maximal ideal of four variables: its dual is x1x2x3x4
+        I = SqfIdeal(4, (0b0001, 0b0010, 0b0100, 0b1000))
+        dual = alexander_dual(I)
+        assert dual.gens == (0b1111,)
+        with pytest.raises(NotAGraphDualError):
+            ring_properties(I, GF2, koszul_betti(I, GF2), dual)
+
+    def test_degree_one_generator(self):
+        # x1, x2x3: no face of size 3, but J_[2] is not its quadratic part
+        I = SqfIdeal(3, (0b001, 0b110))
+        with pytest.raises(NotAGraphDualError) as refused:
+            dual_is_componentwise_linear(I, GF2)
+        assert isinstance(refused.value, IdealError)
+
+    def test_neither_witness_nor_certificate(self, monkeypatch):
+        monkeypatch.setattr(betti, "_elimination_certificate", lambda adj: None)
+        dual = alexander_dual(complementary_edge_ideal(paw()))
+        with pytest.raises(NotAGraphDualError, match="neither"):
+            dual_is_componentwise_linear(dual, GF2)
 
 
 class TestMultigraded:

@@ -33,6 +33,7 @@ from helpers import (
     paw,
     p3_union_k2,
     two_k2,
+    two_tree,
 )
 
 
@@ -146,6 +147,13 @@ class TestAnalyzeRunsNoHochsterSum:
         record = analyze_graph(G)
         assert record.consistency.all_match(), record.consistency.mismatches
         assert not record.properties.componentwise_linear_dual
+
+    def test_two_tree_at_forty_five(self):
+        # chordal: the dual's linearity needs the elimination certificate
+        G = two_tree(45)
+        record = analyze_graph(G)
+        assert record.consistency.all_match(), record.consistency.mismatches
+        assert record.properties.componentwise_linear_dual
 
     def test_sixty_two_cycle_with_two_chords(self):
         # minimal primes, the second dual and the Stanley-Reisner ideal

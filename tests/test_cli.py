@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 import compedge
 from compedge.cli import run
-from compedge.graphs import mask_of, parse_graph
+from compedge.graphs import emit_graph, mask_of, parse_graph
 from compedge.ideals import MonomialOrderCert, complementary_edge_ideal
+from helpers import two_tree
 
 
 def capture(capsys):
@@ -49,6 +50,16 @@ class TestAnalyze:
         out, _ = capture(capsys)
         assert "linear_resolution=True" in out
         assert "pd=1" in out
+
+    def test_n62_two_tree_analyze(self, capsys, monkeypatch):
+        # chordal at the size limit: the dual's linearity is decided by an
+        # elimination certificate, not by a greedy order or a 2^n sum
+        monkeypatch.setattr("sys.stdin", io.StringIO(emit_graph(two_tree(62), "edge-list")))
+        code = run(["analyze", "-", "--format", "edge-list", "--json"])
+        doc = json.loads(capture(capsys)[0])
+        assert code == 0
+        assert all(c["match"] for c in doc["consistency"]["claims"].values())
+        assert doc["properties"]["componentwise_linear_dual"] is True
 
     def test_cross_check(self, capsys):
         assert run(["analyze", "C`", "--json", "--cross-check"]) == 0
@@ -336,7 +347,7 @@ def test_package_exports_what_the_entry_points_use():
         "PropertyReport", "QQ", "SimplicialComplex", "SqfIdeal", "SweepReport",
         "alexander_dual", "analyze_graph", "betti_positions_check",
         "classify_graph", "complementary_edge_ideal", "connected_components",
-        "degree_component", "emit_graph", "facet_complex",
+        "emit_graph", "facet_complex",
         "find_well_ordered_cover", "gamma_complex", "gorenstein_census",
         "height", "hochster_betti", "induced_subcollection", "is_chordal",
         "is_linearly_related", "koszul_betti", "lcm_graph",

@@ -15,7 +15,6 @@ from compedge.ideals import (
     alexander_dual,
     colon_min_gens,
     complementary_edge_ideal,
-    degree_component,
     height,
     is_linearly_related,
     lcm_graph,
@@ -37,6 +36,7 @@ from helpers import (
     complement,
     complete,
     cycle,
+    degree_component,
     graph,
     has_linear_quotient_order,
     path,
