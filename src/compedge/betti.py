@@ -28,6 +28,7 @@ from .ideals import (
     IdealError,
     MonomialOrderCert,
     SqfIdeal,
+    UnitIdealError,
     ZeroIdealError,
     lcm_lattice,
 )
@@ -120,6 +121,9 @@ def hochster_betti(I: SqfIdeal, field: FieldSpec) -> BettiTable:
     """
     if I.is_zero:
         raise ZeroIdealError("Betti table of the zero ideal is undefined")
+    if 0 in I.gens:
+        # the void complex: no restriction would have a facet to relabel
+        raise UnitIdealError("Hochster's formula is undefined on the unit ideal")
     check_oracle_size(I.n)
     facets = stanley_reisner_complex(I).facets
     char = field.characteristic

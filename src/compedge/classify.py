@@ -221,12 +221,14 @@ def analyze_graph(
     add("unmixed", cls.unmixed, props.unmixed)
     # the dual's generators are the minimal primes: one comparison, two names
     claims["alexander_dual"] = claims["minimal_primes"]
-    add("dual_involution", True, idl.alexander_dual(dual) == I)
-    add(
-        "stanley_reisner_roundtrip",
-        True,
-        stanley_reisner_ideal(gamma_complex(G)) == I,
-    )
+    involution = idl.alexander_dual(dual)
+    add("dual_involution", True, involution == I)
+    # I_Gamma is the transversal ideal of Gamma's facet complements: the
+    # involution already built when those are the dual's generators
+    gamma = gamma_complex(G)
+    complements = sorted((G.full_mask ^ f for f in gamma.facets), key=idl.support_sort_key)
+    sr = involution if tuple(complements) == dual.gens else stanley_reisner_ideal(gamma)
+    add("stanley_reisner_roundtrip", True, sr == I)
     lcm_rows = idl.lcm_graph(I)
     add(
         "lcm_graph_is_line_graph",

@@ -8,6 +8,7 @@ malformed input, 3 mismatches found (a claim or the --cross-check oracle).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -38,8 +39,10 @@ def _field_from_flag(value: str) -> FieldSpec:
     return {"2": GF2, "3": GF3, "q": QQ}[value]
 
 
+@functools.cache
 def build_parser() -> _Parser:
-    """Each subcommand accepts only the options its handler reads."""
+    """Each subcommand accepts only the options its handler reads.  Built
+    once per process: parsing leaves the parser as it was."""
     parser = _Parser(prog="compedge", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
     names = ("analyze", "betti", "dual", "order", "sweep", "census")
@@ -80,10 +83,11 @@ def _dual_block(dual: idl.SqfIdeal) -> dict:
     """The dual's generators, all of them and split by origin, each list in
     the canonical (degree, lex) order: degree 2 from nonedges, 3 from
     triangles."""
+    strings = dual.generator_strings()
     return {
-        "generators": dual.generator_strings(),
-        "from_nonedges": [idl.monomial_str(g) for g in dual.gens if g.bit_count() == 2],
-        "from_triangles": [idl.monomial_str(g) for g in dual.gens if g.bit_count() == 3],
+        "generators": strings,
+        "from_nonedges": [s for g, s in zip(dual.gens, strings) if g.bit_count() == 2],
+        "from_triangles": [s for g, s in zip(dual.gens, strings) if g.bit_count() == 3],
     }
 
 
@@ -98,6 +102,7 @@ def _cross_check(payload: dict, I: idl.SqfIdeal, table) -> bool:
 def build_analysis_document(record: cf.GraphAnalysis, cross_check) -> dict:
     G = record.graph
     table = record.table
+    dual_block = _dual_block(record.dual)
     doc = {
         "schema": ANALYSIS_SCHEMA,
         "input": {
@@ -106,8 +111,8 @@ def build_analysis_document(record: cf.GraphAnalysis, cross_check) -> dict:
             "edges": [list(e) for e in G.edges()],
         },
         "ideal": {"generators": record.ideal.generator_strings()},
-        "minimal_primes": [idl.monomial_str(p) for p in record.dual.gens],
-        "alexander_dual": _dual_block(record.dual),
+        "minimal_primes": dual_block["generators"],
+        "alexander_dual": dual_block,
         "betti": table.to_json_dict(),
         "properties": record.properties.to_json_dict(),
         "classification": record.classification.to_json_dict(),

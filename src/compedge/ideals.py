@@ -36,6 +36,10 @@ class ZeroIdealError(IdealError):
     """Operation undefined on the zero ideal."""
 
 
+class UnitIdealError(IdealError):
+    """Operation undefined on the unit ideal."""
+
+
 class NotEquigeneratedError(IdealError):
     """Operation requires all generators in one degree."""
 

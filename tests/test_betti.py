@@ -30,11 +30,12 @@ from compedge.graphs import (
     mask_of,
     nonedge_masks,
 )
-from compedge.complexes import stanley_reisner_ideal
+from compedge.complexes import SimplicialComplex, stanley_reisner_ideal
 from compedge.homology import GF2, GF3, QQ, FieldSpec
 from compedge.ideals import (
     IdealError,
     SqfIdeal,
+    UnitIdealError,
     ZeroIdealError,
     alexander_dual,
     complementary_edge_ideal,
@@ -51,6 +52,7 @@ from helpers import (
     graph,
     has_linear_quotient_order,
     has_linear_resolution,
+    iter_graphs,
     path,
     paw,
     p3_union_k2,
@@ -471,6 +473,31 @@ class TestPositions:
             hochster_betti(SqfIdeal(4, ()), GF2)
         with pytest.raises(ZeroIdealError):
             koszul_betti(SqfIdeal(4, ()), GF2)
+
+    def test_unit_ideal_refused_by_the_oracle(self):
+        # the void complex's ideal: Hochster's formula needs a proper ideal,
+        # while the Koszul engine gives the free module's table
+        I = stanley_reisner_ideal(SimplicialComplex(4, ()))
+        assert I == SqfIdeal(4, (0,))
+        with mock.patch.object(betti, "_relabeled", side_effect=AssertionError):
+            with pytest.raises(UnitIdealError) as info:
+                hochster_betti(I, QQ)
+        assert isinstance(info.value, IdealError)
+        assert koszul_betti(I, QQ).entries == {(0, 0): 1}
+
+    def test_oracle_relabels_no_void_restriction(self):
+        real = betti._relabeled
+
+        def relabeled(facets):
+            assert facets, "void restriction"
+            return real(facets)
+
+        with mock.patch.object(betti, "_relabeled", side_effect=relabeled) as spy:
+            for I in (SqfIdeal(3, (0b001,)), SqfIdeal(4, (0b0011, 0b1100))):
+                hochster_betti(I, GF2)
+            for G in iter_graphs(4):
+                hochster_betti(complementary_edge_ideal(G), GF2)
+        assert spy.call_count > 0
 
     def test_oracle_refuses_more_than_fourteen_variables(self):
         I = complementary_edge_ideal(cycle(15))

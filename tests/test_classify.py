@@ -116,6 +116,38 @@ class TestVerify:
         assert record.classification.chordal == record.properties.componentwise_linear_dual
 
 
+class TestEachClaimFailsOnItsOwnObject:
+    """The Stanley-Reisner round trip reuses the second dual only when
+    Gamma's facet complements are the dual's generators, so a wrong complex
+    or a wrong second dual shows in its own claim."""
+
+    G = graph(6, (1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 6), (6, 4))
+
+    def test_a_complex_missing_a_facet_fails_the_round_trip(self, monkeypatch):
+        real = classify.gamma_complex
+
+        def missing_a_facet(G):
+            cx = real(G)
+            return complexes.SimplicialComplex(cx.n, cx.facets[1:])
+
+        monkeypatch.setattr(classify, "gamma_complex", missing_a_facet)
+        result = analyze_graph(self.G).consistency
+        assert [name for name, _, _ in result.mismatches] == ["stanley_reisner_roundtrip"]
+
+    def test_a_wrong_second_dual_fails_the_involution(self, monkeypatch):
+        I = ideals.complementary_edge_ideal(self.G)
+        real = ideals.alexander_dual
+
+        def wrong_on_the_dual(J):
+            dual = real(J)
+            return dual if J == I else ideals.SqfIdeal(J.n, dual.gens[1:])
+
+        monkeypatch.setattr(ideals, "alexander_dual", wrong_on_the_dual)
+        claims = analyze_graph(self.G).consistency.claims
+        assert claims["minimal_primes"]["match"]
+        assert not claims["dual_involution"]["match"]
+
+
 class TestAnalyzeRunsNoHochsterSum:
     """The dual's componentwise linearity is decided without the 2^n
     Hochster sum, and every antichain comes from its producer unreduced:
@@ -156,8 +188,9 @@ class TestAnalyzeRunsNoHochsterSum:
         assert record.properties.componentwise_linear_dual
 
     def test_sixty_two_cycle_with_two_chords(self):
-        # minimal primes, the second dual and the Stanley-Reisner ideal
-        # each need the minimal transversals of 62-vertex families
+        # minimal primes and the second dual, which is also the
+        # Stanley-Reisner ideal, need the minimal transversals of 62-vertex
+        # families
         G = graph(62, (1, 31), (2, 34), (1, 62), *[(i, i + 1) for i in range(1, 62)])
         record = analyze_graph(G)
         assert record.consistency.all_match(), record.consistency.mismatches

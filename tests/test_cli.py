@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: formats, exit codes, round trips."""
 
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import compedge
-from compedge.cli import run
+from compedge.cli import build_parser, run
 from compedge.graphs import emit_graph, mask_of, parse_graph
 from compedge.ideals import MonomialOrderCert, complementary_edge_ideal
 from helpers import two_tree
@@ -336,6 +337,70 @@ class TestUsage:
     )
     def test_options_a_command_does_not_read_are_rejected(self, capsys, argv):
         assert run(argv) == 1
+
+
+# sha256 of stdout; the graphs are two triangles joined by an edge, the
+# 5-cycle, and the path P4 plus a disjoint edge
+PINNED_OUTPUTS = {
+    "ExCW": (
+        "9c5cc5519229212bc7a572d0b5a31d40001520b32719e90df537b84386757870",
+        "c05f607d57301976564e56b011cf7c9a68e11ee16221609c9763b2f56012cf62",
+        "c09dc87990fff21027be53ceb17a4ac0152a402a1e134bbfa9bb0f6fdbd52876",
+        "ea0ba22773f8d8885570642f99e5e1bfec3673dce24b6adba1ce6d7409c2bf1b",
+    ),
+    "Dhc": (
+        "1cafd517613a95533cab6fc8c551e5d73dab475110fda30ef1cba47ae2450e47",
+        "795718b626a318eb286742be18e8bd491459f2a474cbec82c411cec93bc3c2b2",
+        "c12a17d06a96545543ef50f7c05fd231cba38a31efeaf547e486f8a15d5a5b8a",
+        "efb13f6bb9a5a926dc1362963dfafc38ee442cc706f408710fb0c133c5854d92",
+    ),
+    "Eh?G": (
+        "a69b2c1f13cbd267dd0cbf19c82fc26c8505db75ae4e4ccd0b328a9d129e189b",
+        "9b2bfbb848190a53c693df526c5ff84d9792deb1e2c11629a2a366414ae80e52",
+        "10e0abe7d43e57ba97a0e5a5615325003f792f115b410e24a0ddf6d2279bdf4d",
+        "f38429898f7d25cbb52a7fa671712c70c12ac360eb166458eb69107825243d10",
+    ),
+}
+PINNED_COMMANDS = (
+    ["analyze", "--json"],
+    ["analyze", "--text", "--cross-check"],
+    ["betti", "--field", "q", "--cross-check", "--json"],
+    ["dual", "--json"],
+)
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        ([command[0], g6, *command[1:]], digest)
+        for g6, digests in PINNED_OUTPUTS.items()
+        for command, digest in zip(PINNED_COMMANDS, digests)
+    ],
+)
+def test_output_bytes_are_pinned(capsys, argv, digest):
+    assert run(argv) == 0
+    out, _ = capture(capsys)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestSharedParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_runs_after_errors_give_what_they_give_alone(self, capsys):
+        argvs = [
+            ["analyze", "ExCW", "--field", "5"],
+            ["analyze", "E", "--json"],
+            ["analyze", "ExCW", "--json"],
+        ]
+        alone = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            alone.append((run(argv), *capture(capsys)))
+        build_parser.cache_clear()
+        in_turn = [(run(argv), *capture(capsys)) for argv in argvs]
+        assert in_turn == alone
+        assert [code for code, _, _ in in_turn] == [1, 2, 0]
 
 
 def test_package_exports_what_the_entry_points_use():
