@@ -300,7 +300,7 @@ def _elimination_certificate(adj) -> MonomialOrderCert | None:
     elim = elimination_order(adj)
     placed = [0] * len(adj)  # rows of P
     order: list[int] = []
-    steps: list[tuple[int, ...]] = []
+    steps: list[int] = []
     for i, a in enumerate(elim):
         for b in elim[i + 1:]:
             if adj[a] >> b & 1:
@@ -310,7 +310,7 @@ def _elimination_certificate(adj) -> MonomialOrderCert | None:
             if any(placed[x] & outside for x in iter_bits(outside)):
                 return None
             order.append(1 << a | 1 << b)
-            steps.append(tuple(1 << v for v in iter_bits(variables)))
+            steps.append(variables)
             placed[a] |= 1 << b
             placed[b] |= 1 << a
     return MonomialOrderCert(tuple(order), tuple(steps))

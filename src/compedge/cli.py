@@ -179,6 +179,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_betti(args) -> int:
     G = _load_graph(args)
     field = _field_from_flag(args.field)
+    if args.cross_check:
+        check_oracle_size(G.n)  # before the table, which takes a second on K62
     I = idl.complementary_edge_ideal(G)
     table = koszul_betti(I, field)
     payload = {"graph6": emit_graph(G), "betti": table.to_json_dict()}
@@ -215,42 +217,16 @@ def _cmd_order(args) -> int:
     if cert is None:
         # the greedy's None proves that no order exists for a graph's ideal
         components = [list(vertices_of(c)) for c in connected_components(G)]
-        if args.as_json:
-            _emit(
-                args,
-                json.dumps(
-                    {
-                        "graph6": emit_graph(G),
-                        "order": None,
-                        "components": components,
-                    },
-                    sort_keys=True,
-                ),
-            )
-        else:
-            parts = ", ".join("{" + ",".join(map(str, c)) + "}" for c in components)
-            _emit(args, f"NoOrderExists: components {parts}")
-        return EXIT_OK
-    steps = [
-        [f"x{v}" for v in step] for step in cert.colon_variables()
-    ]
-    if args.as_json:
-        _emit(
-            args,
-            json.dumps(
-                {
-                    "graph6": emit_graph(G),
-                    "order": [idl.monomial_str(m) for m in cert.order],
-                    "colon_steps": steps,
-                },
-                sort_keys=True,
-            ),
-        )
+        payload = {"graph6": emit_graph(G), "order": None, "components": components}
+        parts = ", ".join("{" + ",".join(map(str, c)) + "}" for c in components)
+        text = f"NoOrderExists: components {parts}"
     else:
-        lines = ["order: " + ", ".join(map(idl.monomial_str, cert.order))]
+        order = [idl.monomial_str(m) for m in cert.order]
+        steps = [[f"x{v}" for v in step] for step in cert.colon_variables()]
+        payload = {"graph6": emit_graph(G), "order": order, "colon_steps": steps}
         rendered = ["-" if not s else "(" + ",".join(s) + ")" for s in steps]
-        lines.append("colon steps: " + " ".join(rendered))
-        _emit(args, "\n".join(lines))
+        text = "order: " + ", ".join(order) + "\ncolon steps: " + " ".join(rendered)
+    _emit(args, json.dumps(payload, sort_keys=True) if args.as_json else text)
     return EXIT_OK
 
 

@@ -145,16 +145,6 @@ def parse_graph(text: str, format: str = "graph6") -> Graph:
     raise ValueError(f"unknown graph format {format!r}")
 
 
-def emit_graph(G: Graph, format: str = "graph6") -> str:
-    """Encode a graph as ``graph6`` or ``edge-list`` text."""
-    if format == "graph6":
-        return _encode_graph6(G)
-    if format == "edge-list":
-        lines = [str(G.n)] + [f"{i} {j}" for i, j in G.edges()]
-        return "\n".join(lines)
-    raise ValueError(f"unknown graph format {format!r}")
-
-
 def _column_pairs(n: int) -> list[tuple[int, int]]:
     # graph6 bit order: upper triangle by columns, x(0,1), x(0,2), x(1,2), ...
     return [(i, j) for j in range(1, n) for i in range(j)]
@@ -199,7 +189,8 @@ def _decode_graph6(text: str) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def _encode_graph6(G: Graph) -> str:
+def emit_graph(G: Graph) -> str:
+    """Encode a graph as ``graph6`` text."""
     out = [chr(G.n + 63)]
     val = 0
     count = 0
@@ -259,23 +250,27 @@ def validate_standing_assumptions(G: Graph) -> None:
             raise IsolatedVertexError(i + 1)
 
 
-def connected_components(G: Graph) -> list[int]:
-    """Vertex masks of the connected components, by increasing minimum element."""
-    remaining = G.full_mask
+def components_within(adj, within: int) -> list[int]:
+    """Vertex masks of the connected components of the subgraph that the
+    bitset rows ``adj`` induce on the vertex mask ``within``, by
+    increasing least vertex."""
     comps = []
-    while remaining:
-        start = remaining & -remaining
-        comp = start
-        frontier = start
+    while within:
+        comp = frontier = within & -within
         while frontier:
             nxt = 0
             for i in iter_bits(frontier):
-                nxt |= G.adj[i]
-            frontier = nxt & ~comp
+                nxt |= adj[i]
+            frontier = nxt & within & ~comp
             comp |= frontier
         comps.append(comp)
-        remaining &= ~comp
+        within &= ~comp
     return comps
+
+
+def connected_components(G: Graph) -> list[int]:
+    """Vertex masks of the connected components, by increasing minimum element."""
+    return components_within(G.adj, G.full_mask)
 
 
 def is_connected(G: Graph) -> bool:

@@ -136,12 +136,6 @@ def _pivots(rows: list[dict[int, int]], p: int) -> KeysView[int]:
     return _pivots_gf2(rows) if p == 2 else _pivots_sparse(rows, p)
 
 
-def _rank(rows: list[dict[int, int]], p: int) -> int:
-    """Exact rank over GF(p), or over the rationals when p == 0, of nonempty
-    sparse rows {column: integer nonzero mod p}."""
-    return len(_pivots(rows, p))
-
-
 def facet_holders(facets) -> list[int]:
     """holders[v] is the mask of the indices of the facets holding vertex v."""
     holders = [0] * max(facets).bit_length()

@@ -4,16 +4,17 @@ A squarefree monomial is stored as the bitmask of its support; an ideal is
 its minimal generating set of such masks, kept as an inclusion antichain
 sorted by degree and then lexicographically on the variables, so that
 equal ideals compare equal structurally.  Producers here yield that form
-directly; ``minimalize_supports`` brings any other family of supports to it.
+directly.
 
 The central constructions here: the ideal with one degree n-2 generator
 per graph edge (each generator is the product of all variables except the
 edge's endpoints), minimal transversals by Berge's one-support-at-a-time
 algorithm and through them minimal primes and Alexander duality, the lcm
 graph of an equigenerated ideal, the lcm lattice, and a greedy linear
-quotient order that records each step's colon variables as it appends;
-``MonomialOrderCert.is_valid_for`` checks such a certificate against the
-definition, colon by colon.
+quotient order that records each step's colon variables, one mask per
+step, as it appends; ``MonomialOrderCert.is_valid_for`` checks such a
+certificate against the colon's definition, in time linear in each
+step's prefix.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 from .graphs import (
     Graph,
+    components_within,
     iter_bits,
     validate_standing_assumptions,
     vertices_of,
@@ -59,16 +61,6 @@ def support_sort_key(mask: int) -> int:
         mask.to_bytes(8, "little").translate(_REVERSED_BYTE), "big"
     )
     return (mask.bit_count() << 64) - reversed_bits
-
-
-def minimalize_supports(masks) -> tuple[int, ...]:
-    """Inclusion-minimal elements of a family of masks, canonically sorted."""
-    distinct = sorted(set(masks), key=support_sort_key)
-    kept: list[int] = []
-    for m in distinct:
-        if not any(k & m == k for k in kept):
-            kept.append(m)
-    return tuple(kept)
 
 
 def monomial_str(mask: int) -> str:
@@ -211,19 +203,11 @@ def is_linearly_related(I: SqfIdeal, adj: tuple[int, ...]) -> bool:
                 rows[a] = rows.get(a, 0) | 1 << b
     component = [0] * m
     for target, rows in pairs_by_lcm.items():
-        unseen = 0
+        dividing = 0
         for w in range(m):
             if masks[w] & ~target == 0:
-                unseen |= 1 << w
-        while unseen:
-            comp = frontier = unseen & -unseen
-            while frontier:
-                nxt = 0
-                for w in iter_bits(frontier):
-                    nxt |= adj[w]
-                frontier = nxt & unseen & ~comp
-                comp |= frontier
-            unseen &= ~comp
+                dividing |= 1 << w
+        for comp in components_within(adj, dividing):
             for w in iter_bits(comp):
                 component[w] = comp
         if any(bs & ~component[a] for a, bs in rows.items()):
@@ -231,43 +215,37 @@ def is_linearly_related(I: SqfIdeal, adj: tuple[int, ...]) -> bool:
     return True
 
 
-def colon_min_gens(prefix_supports, support: int) -> tuple[int, ...]:
-    """Minimal generators of (u_1, ..., u_r) : u, as support masks.
-
-    Each lcm(u_i, u) / u has support supp(u_i) minus supp(u); the colon
-    ideal is generated by these, minimalized.
-    """
-    return minimalize_supports(p & ~support for p in prefix_supports)
-
-
-def _colon_steps(seq):
-    """Minimal generators of (u_1, ..., u_i) : u_{i+1} for i = 0, 1, ..."""
-    for i in range(len(seq)):
-        yield colon_min_gens(seq[:i], seq[i])
-
-
 @dataclass(frozen=True, slots=True)
 class MonomialOrderCert:
-    """A generator ordering plus the minimal colon generators at each step.
+    """A generator ordering plus the variables generating each step's colon.
 
-    ``colon_steps[i]`` holds the variable masks generating
-    (u_1, ..., u_i) : u_{i+1}; the first entry is the empty tuple.  The
-    certificate is valid when every recorded mask has exactly one bit.
+    ``colon_steps[i]`` is the mask of the variables generating
+    (u_1, ..., u_i) : u_{i+1}; the first entry is 0.  That colon is
+    generated by the differences p minus u_{i+1} over the earlier p, so
+    the mask is right iff each of its variables is such a difference and
+    every difference meets it: then the variables are exactly the
+    minimal generators.
     """
 
     order: tuple[int, ...]
-    colon_steps: tuple[tuple[int, ...], ...]
+    colon_steps: tuple[int, ...]
 
     def colon_variables(self) -> list[tuple[int, ...]]:
         """1-based variables per step, for display."""
-        return [tuple(m.bit_length() for m in step) for step in self.colon_steps]
+        return [vertices_of(m) for m in self.colon_steps]
 
     def is_valid_for(self, I: SqfIdeal) -> bool:
         if sorted(self.order, key=support_sort_key) != list(I.gens):
             return False
-        steps = tuple(_colon_steps(self.order))
-        variables = (m.bit_count() == 1 for step in steps for m in step)
-        return steps == self.colon_steps and all(variables)
+        if len(self.colon_steps) != len(self.order):
+            return False
+        for i, (u, variables) in enumerate(zip(self.order, self.colon_steps)):
+            diffs = {p & ~u for p in self.order[:i]}
+            if any(1 << v not in diffs for v in iter_bits(variables)):
+                return False
+            if not all(d & variables for d in diffs):
+                return False
+        return True
 
 
 def linear_quotient_order(I: SqfIdeal) -> MonomialOrderCert | None:
@@ -283,7 +261,7 @@ def linear_quotient_order(I: SqfIdeal) -> MonomialOrderCert | None:
     it does (see ``classify.analyze_graph``).
     """
     order: list[int] = []
-    steps: list[tuple[int, ...]] = []
+    steps: list[int] = []
     remaining = list(I.gens)
     while remaining:
         for i, u in enumerate(remaining):
@@ -295,7 +273,7 @@ def linear_quotient_order(I: SqfIdeal) -> MonomialOrderCert | None:
                     variables |= d
             if all(d & variables for d in diffs):
                 order.append(remaining.pop(i))
-                steps.append(tuple(1 << v for v in iter_bits(variables)))
+                steps.append(variables)
                 break
         else:
             return None

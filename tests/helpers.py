@@ -11,6 +11,9 @@ the cover check) and serve as fixtures and second constructions, not as
 independent checks of those internals.  Likewise
 ``general_is_componentwise_linear``, the decision for any squarefree
 ideal, runs the library's witness, greedy order and Hochster sum.
+``minimalize_supports`` builds ideals from arbitrary families, and
+``reference_cert_is_valid`` checks a linear-quotient certificate by
+minimalizing every colon, independently of the library's checker.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from compedge.classify import (
 )
 from compedge.complexes import SimplicialComplex, _check_cover_seq, maximal_supports
 from compedge.graphs import Graph, iter_bits, vertices_of
-from compedge.homology import GF2, FieldSpec, _faces_by_dim, _rank
+from compedge.homology import GF2, FieldSpec, _faces_by_dim, _pivots
 from compedge.ideals import SqfIdeal, support_sort_key
 
 # ---------------------------------------------------------------- graphs
@@ -83,6 +86,12 @@ def two_tree(n, seed=1):
         a, b = rng.choice(edges)
         edges += [(a, v), (b, v)]
     return graph(n, *edges)
+
+
+def edge_list_text(G):
+    """The edge-list text ``parse_graph(..., "edge-list")`` reads: the
+    vertex count, then one "i j" line per edge."""
+    return "\n".join([str(G.n)] + [f"{i} {j}" for i, j in G.edges()])
 
 
 def graph_from_mask(n, mask):
@@ -243,6 +252,17 @@ def brute_lcm_lattice(gens) -> list[int]:
         family = bigger
 
 
+def minimalize_supports(masks) -> tuple[int, ...]:
+    """Inclusion-minimal elements of any family of masks, canonically
+    sorted: the minimal generating set of the ideal they generate."""
+    distinct = sorted(set(masks), key=support_sort_key)
+    kept: list[int] = []
+    for m in distinct:
+        if not any(k & m == k for k in kept):
+            kept.append(m)
+    return tuple(kept)
+
+
 # -------------------------------------------------------------- complexes
 
 
@@ -327,7 +347,7 @@ def matrix_rank(rows: list[list[int]], field: FieldSpec) -> int:
     """Exact rank of an integer matrix over the chosen field."""
     p = field.characteristic
     sparse = ({c: x for c, x in enumerate(row) if (x % p if p else x)} for row in rows)
-    return _rank([row for row in sparse if row], p)
+    return len(_pivots([row for row in sparse if row], p))
 
 
 def boundary_matrix(cx: SimplicialComplex, k: int) -> list[list[int]]:
@@ -532,6 +552,27 @@ def brute_colon_is_linear(prefix, u) -> bool:
     differences = [p & ~u for p in prefix]
     variables = [q for q in differences if bin(q).count("1") == 1]
     return all(any(v & q for v in variables) for q in differences)
+
+
+def colon_min_gens(prefix, u) -> tuple[int, ...]:
+    """Minimal generators of (prefix) : u as support masks: the
+    differences p minus u, minimalized."""
+    return minimalize_supports(p & ~u for p in prefix)
+
+
+def reference_cert_is_valid(cert, I) -> bool:
+    """``MonomialOrderCert.is_valid_for`` the long way: the order is a
+    permutation of the generators, and each step's colon, recomputed and
+    minimalized, is generated by exactly the recorded variables."""
+    order = cert.order
+    if sorted(order, key=support_sort_key) != list(I.gens):
+        return False
+    if len(cert.colon_steps) != len(order):
+        return False
+    return all(
+        colon_min_gens(order[:i], order[i]) == tuple(1 << v for v in iter_bits(step))
+        for i, step in enumerate(cert.colon_steps)
+    )
 
 
 def has_linear_quotient_order(I) -> bool:

@@ -39,7 +39,6 @@ from compedge.ideals import (
     ZeroIdealError,
     alexander_dual,
     complementary_edge_ideal,
-    minimalize_supports,
 )
 from conftest import random_graphs_min_degree_one
 from helpers import (
@@ -53,6 +52,7 @@ from helpers import (
     has_linear_quotient_order,
     has_linear_resolution,
     iter_graphs,
+    minimalize_supports,
     path,
     paw,
     p3_union_k2,
@@ -312,6 +312,13 @@ class TestEliminationCertificate:
         G = helpers.two_tree(30)
         cert = _elimination_certificate(list(G.adj))
         assert len(cert.order) == 30 * 29 // 2 - G.edge_count()
+        assert cert.is_valid_for(nonedge_ideal(G))
+
+    def test_two_tree_at_sixty_two(self):
+        # 1,770 nonedges: the checker is linear in each step's prefix
+        G = helpers.two_tree(62)
+        cert = _elimination_certificate(list(G.adj))
+        assert len(cert.order) == 62 * 61 // 2 - G.edge_count() == 1770
         assert cert.is_valid_for(nonedge_ideal(G))
 
 

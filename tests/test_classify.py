@@ -157,7 +157,6 @@ class TestAnalyzeRunsNoHochsterSum:
     def _refuse_hochster_and_reductions(self, monkeypatch):
         for module, name in (
             (betti, "hochster_betti"),
-            (ideals, "minimalize_supports"),
             (complexes, "maximal_supports"),
         ):
             def refuse(*args, name=name):

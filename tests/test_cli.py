@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 import compedge
 from compedge.cli import build_parser, run
-from compedge.graphs import emit_graph, mask_of, parse_graph
+from compedge.graphs import mask_of, parse_graph
 from compedge.ideals import MonomialOrderCert, complementary_edge_ideal
-from helpers import two_tree
+from helpers import edge_list_text, two_tree
 
 
 def capture(capsys):
@@ -55,7 +55,7 @@ class TestAnalyze:
     def test_n62_two_tree_analyze(self, capsys, monkeypatch):
         # chordal at the size limit: the dual's linearity is decided by an
         # elimination certificate, not by a greedy order or a 2^n sum
-        monkeypatch.setattr("sys.stdin", io.StringIO(emit_graph(two_tree(62), "edge-list")))
+        monkeypatch.setattr("sys.stdin", io.StringIO(edge_list_text(two_tree(62))))
         code = run(["analyze", "-", "--format", "edge-list", "--json"])
         doc = json.loads(capture(capsys)[0])
         assert code == 0
@@ -177,6 +177,17 @@ class TestBetti:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "n <= 14" in err and "n = 62" in err
 
+    def test_betti_refuses_the_oracle_before_the_table(self, capsys, monkeypatch):
+        def koszul_betti(*args):
+            raise AssertionError("computed a table the oracle refuses")
+
+        monkeypatch.setattr("compedge.cli.koszul_betti", koszul_betti)
+        monkeypatch.setattr("sys.stdin", io.StringIO(cycle_with_two_chords(15)))
+        code = run(["betti", "-", "--format", "edge-list", "--cross-check"])
+        out, err = capture(capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "n <= 14" in err and "n = 15" in err
+
     def test_rational_oracle_at_the_limit(self, capsys, monkeypatch):
         # the bound separates the reduction with clearing (about 0.5 s on a
         # 2-core machine) from one that pivots every row (11-13 s there)
@@ -215,12 +226,12 @@ class TestOrder:
         assert run(["order", "C^", "--json"]) == 0  # connected: K4 minus one edge
         doc = json.loads(capture(capsys)[0])
 
-        def mask(monomial):
-            return mask_of(int(x[1:]) for x in monomial.split("*"))
+        def mask(variables):
+            return mask_of(int(x[1:]) for x in variables)
 
         cert = MonomialOrderCert(
-            tuple(map(mask, doc["order"])),
-            tuple(tuple(map(mask, step)) for step in doc["colon_steps"]),
+            tuple(mask(monomial.split("*")) for monomial in doc["order"]),
+            tuple(map(mask, doc["colon_steps"])),
         )
         assert cert.is_valid_for(complementary_edge_ideal(parse_graph("C^")))
 
@@ -369,13 +380,41 @@ PINNED_COMMANDS = (
 )
 
 
+# sha256 of stdout for the commands whose JSON has no indent: a connected
+# graph (K4 minus an edge), a disconnected one, and the 10-cycle plus the
+# chords (1, 5) and (2, 8); then the Gorenstein census
+PINNED_COMPACT_OUTPUTS = {
+    ("order", "C^", "--json"):
+        "db319d9f61159db1984dc6bedbea3cc2a5d115e19458f508331726385431895e",
+    ("order", "C^", "--text"):
+        "8fef3f00e093555bba3bf93cf9104b6c305b6d7357c20dd2e130a097e3283f06",
+    ("order", "C`", "--json"):
+        "421bae9da37a7fc49114dd2153f375603c68f85579ae640e088094db0b459e2d",
+    ("order", "C`", "--text"):
+        "6b586c85adf044b14a3b479cbd58890d32700a53c1986185b0a636ff736b4909",
+    ("order", "IhcGIC@_G", "--json"):
+        "1316472e418718c7b85702c4eabcc772579abafb2e285c8e51067d5849fbbe2e",
+    ("order", "IhcGIC@_G", "--text"):
+        "e4bfef88a05a5654d120b769acff080bb5ee548b031901ffc39785080a743336",
+    ("census", "--n", "4", "--json"):
+        "d56f8faf442d63fb947ea6fb23731d0d16bc6c9aaa1360b4c1889624025f060d",
+    ("census", "--n", "4", "--text"):
+        "71d351f1a54f44bff1f01db58cc3ff9a2200f5192021893044c35a5cdab99ba3",
+    ("census", "--n", "5", "--json"):
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    ("census", "--n", "5", "--text"):
+        "5dfecbf35de344dc6dc4b8a79c4e5327122b2737250403b04abf2060fbc3927f",
+}
+
+
 @pytest.mark.parametrize(
     "argv,digest",
     [
         ([command[0], g6, *command[1:]], digest)
         for g6, digests in PINNED_OUTPUTS.items()
         for command, digest in zip(PINNED_COMMANDS, digests)
-    ],
+    ]
+    + [(list(argv), digest) for argv, digest in PINNED_COMPACT_OUTPUTS.items()],
 )
 def test_output_bytes_are_pinned(capsys, argv, digest):
     assert run(argv) == 0

@@ -33,6 +33,7 @@ from helpers import (
     complement,
     complete,
     cycle,
+    edge_list_text,
     graph,
     naive_graph6_decode,
     naive_graph6_encode,
@@ -139,7 +140,7 @@ class TestParsing:
     @settings(max_examples=100, deadline=None)
     @given(random_graphs(2, 8))
     def test_edge_list_roundtrip(self, G):
-        assert parse_graph(emit_graph(G, "edge-list"), "edge-list") == G
+        assert parse_graph(edge_list_text(G), "edge-list") == G
 
 
 class TestConstruction:

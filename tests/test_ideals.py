@@ -13,7 +13,6 @@ from compedge.ideals import (
     SqfIdeal,
     ZeroIdealError,
     alexander_dual,
-    colon_min_gens,
     complementary_edge_ideal,
     height,
     is_linearly_related,
@@ -22,7 +21,6 @@ from compedge.ideals import (
     linear_quotient_order,
     minimal_primes,
     minimal_transversals,
-    minimalize_supports,
     monomial_str,
     support_sort_key,
 )
@@ -33,15 +31,18 @@ from helpers import (
     brute_is_linearly_related,
     brute_lcm_lattice,
     brute_minimal_transversals,
+    colon_min_gens,
     complement,
     complete,
     cycle,
     degree_component,
     graph,
     has_linear_quotient_order,
+    minimalize_supports,
     path,
     paw,
     p3_union_k2,
+    reference_cert_is_valid,
     two_k2,
 )
 
@@ -388,13 +389,13 @@ class TestLinearQuotients:
 
     def test_bad_order_rejected(self):
         I = complementary_edge_ideal(path(4))
-        bad = [mask_of([1, 2]), mask_of([3, 4]), mask_of([1, 4])]
-        # second colon is the degree-two principal ideal (x3*x4)
-        assert colon_min_gens([mask_of([1, 2])], mask_of([3, 4])) == (
-            mask_of([1, 2]),
-        )
-        steps = tuple(colon_min_gens(bad[:i], bad[i]) for i in range(len(bad)))
-        assert not MonomialOrderCert(tuple(bad), steps).is_valid_for(I)
+        bad = (mask_of([1, 2]), mask_of([3, 4]), mask_of([1, 4]))
+        # second colon is the degree-two principal ideal (x1*x2), so no
+        # mask of variables certifies it
+        assert colon_min_gens(bad[:1], bad[1]) == (mask_of([1, 2]),)
+        last = mask_of([2, 3])
+        for middle in range(1 << 4):
+            assert not MonomialOrderCert(bad, (0, middle, last)).is_valid_for(I)
 
     def test_two_k2_no_order_at_all(self):
         I = complementary_edge_ideal(two_k2())
@@ -437,7 +438,14 @@ class TestLinearQuotients:
         # minimalized from the definition
         cert = linear_quotient_order(I)
         if cert is not None:
-            assert cert.is_valid_for(I)
+            assert cert.is_valid_for(I) and reference_cert_is_valid(cert, I)
+
+    @pytest.mark.parametrize("G", [complete(62), cycle(62)], ids=["K62", "C62"])
+    def test_certificates_at_sixty_two_vertices(self, G):
+        I = complementary_edge_ideal(G)
+        cert = linear_quotient_order(I)
+        assert len(cert.colon_steps) == len(I.gens)
+        assert cert.is_valid_for(I)
 
     @settings(max_examples=80, deadline=None)
     @given(random_graphs_min_degree_one(4, 6))
@@ -450,3 +458,84 @@ class TestLinearQuotients:
             assert cert.is_valid_for(I)
         else:
             assert cert is None
+
+
+def single_variable_differences(prefix, u):
+    """The mask of the differences p minus u that are one variable."""
+    variables = 0
+    for p in prefix:
+        if (p & ~u).bit_count() == 1:
+            variables |= p & ~u
+    return variables
+
+
+class TestCertificateChecker:
+    """``is_valid_for`` checks each step against the colon's definition:
+    every mutation of a valid certificate is rejected, as the minimalizing
+    reference in helpers rejects it, and on general ideals the two agree."""
+
+    I = complementary_edge_ideal(graph(4, (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
+
+    def certificate(self):
+        cert = linear_quotient_order(self.I)
+        assert cert.colon_variables() == [(), (2,), (2, 3), (1,), (1, 3)]
+        assert cert.is_valid_for(self.I) and reference_cert_is_valid(cert, self.I)
+        return cert
+
+    def rejects(self, order, steps) -> bool:
+        cert = MonomialOrderCert(tuple(order), tuple(steps))
+        assert not reference_cert_is_valid(cert, self.I)
+        return not cert.is_valid_for(self.I)
+
+    def test_dropped_variable(self):
+        cert = self.certificate()
+        steps = list(cert.colon_steps)
+        steps[2] = mask_of([2])  # the colon is (x2, x3)
+        assert self.rejects(cert.order, steps)
+
+    def test_extra_variable_that_generates_nothing(self):
+        cert = self.certificate()
+        steps = list(cert.colon_steps)
+        steps[1] |= mask_of([4])  # x4 is no difference at this step
+        assert self.rejects(cert.order, steps)
+
+    def test_two_generators_swapped(self):
+        cert = self.certificate()
+        order = list(cert.order)
+        order[1], order[3] = order[3], order[1]
+        assert self.rejects(order, cert.colon_steps)
+
+    def test_truncated_order(self):
+        cert = self.certificate()
+        assert self.rejects(cert.order[:-1], cert.colon_steps[:-1])
+
+    def test_step_count_differs_from_the_order(self):
+        cert = self.certificate()
+        assert self.rejects(cert.order, cert.colon_steps[:-1])
+        assert self.rejects(cert.order, cert.colon_steps + (0,))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_agrees_with_the_minimalizing_reference(self, data):
+        # candidates record each step's one-variable differences, along the
+        # greedy's order or any other; a mutation then breaks some of them
+        I = data.draw(squarefree_ideals())
+        greedy = linear_quotient_order(I)
+        if greedy is not None and data.draw(st.booleans()):
+            order = list(greedy.order)
+        else:
+            order = data.draw(st.permutations(I.gens))
+        steps = [single_variable_differences(order[:i], u) for i, u in enumerate(order)]
+        mutation = data.draw(st.sampled_from(["none", "flip", "swap", "truncate", "extra"]))
+        if mutation == "flip":
+            k = data.draw(st.integers(0, len(steps) - 1))
+            steps[k] ^= 1 << data.draw(st.integers(0, I.n - 1))
+        elif mutation == "swap":
+            a, b = data.draw(st.lists(st.integers(0, len(order) - 1), min_size=2, max_size=2))
+            order[a], order[b] = order[b], order[a]
+        elif mutation == "truncate":
+            order, steps = order[:-1], steps[:-1]
+        elif mutation == "extra":
+            steps.append(0)
+        cert = MonomialOrderCert(tuple(order), tuple(steps))
+        assert cert.is_valid_for(I) == reference_cert_is_valid(cert, I)
