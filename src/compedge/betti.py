@@ -207,27 +207,17 @@ class PropertyReport:
         return dict(self.__dict__)
 
 
-def _has_face_of_size(I: SqfIdeal, size: int) -> bool:
-    """Whether Delta(I) has a face with this many vertices: a set that
-    contains no generator.
-
-    Faces are grown one vertex at a time.  A set is a face iff it is not a
-    generator and every subset one smaller is a face, since a generator
-    strictly inside the set misses one of its vertices.
-    """
-    nonfaces = set(I.gens)
-    level = {0}
-    for _ in range(size):
-        grown = set()
-        for face in level:
-            for v in range(face.bit_length(), I.n):
-                f = face | 1 << v
-                if f not in nonfaces and all(f ^ 1 << u in level for u in iter_bits(face)):
-                    grown.add(f)
-        if not grown:
-            return False
-        level = grown
-    return True
+def _has_triangle_face(adj, gens) -> bool:
+    """Whether a triangle of the graph H with adjacency rows ``adj`` is
+    not in ``gens``.  When H is the graph of the pairs that are not
+    generators and no generator has degree above 3, these are the faces
+    of size 3 of the ideal's complex."""
+    for a, row in enumerate(adj):
+        for b in iter_bits(row & -(2 << a)):
+            for c in iter_bits(row & adj[b] & -(2 << b)):
+                if 1 << a | 1 << b | 1 << c not in gens:
+                    return True
+    return False
 
 
 def _nonlinear_witness(adj, field: FieldSpec) -> bool:
@@ -327,7 +317,9 @@ def dual_is_componentwise_linear(dual: SqfIdeal, field: FieldSpec) -> bool:
     For the dual of G's ideal, H is G.
 
     J is generated by the nonedges and the triangles of G, so J_[1] = 0,
-    and Delta(J) has no face of size 3 (computed: the dimension step).
+    and Delta(J) has no face of size 3.  That is the dimension step,
+    computed on H: with generators in degrees 2 and 3 only, a face of
+    size 3 is a triangle of H that is not a generator.
     For j >= 3, J_[j] has complex Delta(J) plus every set of size below
     j, so by Hochster's formula it has a linear resolution iff
     H~_k(Delta(J)_W) = 0 for all W and k >= j - 1: true in dimension 1.
@@ -338,12 +330,12 @@ def dual_is_componentwise_linear(dual: SqfIdeal, field: FieldSpec) -> bool:
     the proof for, over every field (Herzog-Takayama, "Resolutions by
     mapping cones", 2002).  No step sums over vertex subsets.
     """
-    if not dual.degrees() <= {2, 3} or _has_face_of_size(dual, 3):
-        raise NotAGraphDualError("the dual has a face of size 3 or a degree outside 2..3")
     gens = set(dual.gens)
     vertices = range(dual.n)
     adj = [sum(1 << u for u in vertices if u != v and 1 << u | 1 << v not in gens)
            for v in vertices]  # rows of H
+    if not dual.degrees() <= {2, 3} or _has_triangle_face(adj, gens):
+        raise NotAGraphDualError("the dual has a face of size 3 or a degree outside 2..3")
     if _nonlinear_witness(adj, field):
         return False
     if _elimination_certificate(adj) is not None:

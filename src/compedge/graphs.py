@@ -47,14 +47,6 @@ class IsolatedVertexError(ValidationError):
         self.vertex = vertex
 
 
-def mask_of(vertices) -> int:
-    """Bitmask of an iterable of 1-based vertices."""
-    m = 0
-    for v in vertices:
-        m |= 1 << (v - 1)
-    return m
-
-
 def vertices_of(mask: int) -> tuple[int, ...]:
     """Sorted tuple of 1-based vertices in a bitmask."""
     out = []
@@ -271,10 +263,6 @@ def components_within(adj, within: int) -> list[int]:
 def connected_components(G: Graph) -> list[int]:
     """Vertex masks of the connected components, by increasing minimum element."""
     return components_within(G.adj, G.full_mask)
-
-
-def is_connected(G: Graph) -> bool:
-    return len(connected_components(G)) == 1
 
 
 def is_complete(G: Graph) -> bool:

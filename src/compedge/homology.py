@@ -3,10 +3,10 @@
 Dimensions come from exact ranks of the boundary maps of the augmented
 chain complex, given as sparse rows {column: entry}: a row per face, a
 column per face one dimension lower, both in sorted order.  One loop
-reduces the rows over every field, against pivots keyed by their leading
-(largest) column: xor on bitmasks over GF(2); over GF(p) and the
-rationals, sparse rows scaled to lead 1, so that exact fractions appear
-only for a rational lead other than +-1.  No floating point appears.
+reduces the rows over every field, GF(2) included, against pivots keyed by
+their leading (largest) column and scaled to lead 1, so that exact
+fractions appear only for a rational lead other than +-1.  No floating
+point appears.
 
 The maps are reduced top down with clearing (Chen and Kerber, "Persistent
 homology computation with a twist", 2011; Bauer, Kerber and Reininghaus,
@@ -65,35 +65,17 @@ GF3 = FieldSpec(3)
 QQ = FieldSpec(0)
 
 
-def _pivots_gf2(rows: list[dict[int, int]]) -> KeysView[int]:
-    """Pivot columns over GF(2) of sparse rows, packed into bitmasks for
-    xor.  The pivots are keyed by leading bit, so a row meets only the
-    pivots whose leading bit it holds."""
-    pivots: dict[int, int] = {}
-    for row in rows:
-        r = 0
-        for c in row:
-            r |= 1 << c
-        while r:
-            top = r.bit_length() - 1
-            pivot = pivots.get(top)
-            if pivot is None:
-                pivots[top] = r
-                break
-            r ^= pivot
-    return pivots.keys()
+def _pivots(rows: list[dict[int, int]], p: int) -> KeysView[int]:
+    """Pivot (leading) columns over GF(p), or over the rationals when
+    p == 0, of nonempty sparse rows {column: integer nonzero mod p} (the
+    rows are consumed).  They are the leading columns of the row space, so
+    they depend neither on the order of the rows nor on which spanning rows
+    are given.
 
-
-def _pivots_sparse(rows: list[dict[int, int]], p: int) -> KeysView[int]:
-    """Pivot columns over GF(p), or over the rationals when p == 0, of
-    nonempty sparse rows {column: integer nonzero mod p} (the rows are
-    consumed).
-
-    The loop of ``_pivots_gf2`` on dicts: a row whose leading column has
-    no pivot yet is scaled to lead 1 and kept as that column's pivot, so
-    eliminating that column from a later row takes no division.  Over the
-    rationals a lead of +-1 keeps the entries integers; only another lead
-    brings in exact fractions.
+    A row whose leading column has no pivot yet is scaled to lead 1 and
+    kept as that column's pivot, so eliminating that column from a later
+    row takes no division.  Over the rationals a lead of +-1 keeps the
+    entries integers; only another lead brings in exact fractions.
     """
     pivots: dict[int, dict] = {}
     for row in rows:
@@ -125,15 +107,6 @@ def _pivots_sparse(rows: list[dict[int, int]], p: int) -> KeysView[int]:
                 else:
                     del row[c]
     return pivots.keys()
-
-
-def _pivots(rows: list[dict[int, int]], p: int) -> KeysView[int]:
-    """Pivot (leading) columns over GF(p), or over the rationals when
-    p == 0, of nonempty sparse rows {column: integer nonzero mod p}; the
-    one field dispatch.  They are the leading columns of the row space, so
-    they depend neither on the order of the rows nor on which spanning rows
-    are given."""
-    return _pivots_gf2(rows) if p == 2 else _pivots_sparse(rows, p)
 
 
 def facet_holders(facets) -> list[int]:

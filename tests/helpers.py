@@ -10,7 +10,9 @@ internals (the maximal-set reduction, the rank kernel, the face levels,
 the cover check) and serve as fixtures and second constructions, not as
 independent checks of those internals.  Likewise
 ``general_is_componentwise_linear``, the decision for any squarefree
-ideal, runs the library's witness, greedy order and Hochster sum.
+ideal, runs the library's witness, greedy order and Hochster sum; its
+dimension step, ``has_face_of_size``, grows faces from the minimal
+nonfaces and is the reference for the library's triangle test.
 ``minimalize_supports`` builds ideals from arbitrary families, and
 ``reference_cert_is_valid`` checks a linear-quotient certificate by
 minimalizing every colon, independently of the library's checker.
@@ -32,7 +34,7 @@ from compedge.classify import (
     analyze_graph,
 )
 from compedge.complexes import SimplicialComplex, _check_cover_seq, maximal_supports
-from compedge.graphs import Graph, iter_bits, vertices_of
+from compedge.graphs import Graph, connected_components, iter_bits, vertices_of
 from compedge.homology import GF2, FieldSpec, _faces_by_dim, _pivots
 from compedge.ideals import SqfIdeal, support_sort_key
 
@@ -41,6 +43,14 @@ from compedge.ideals import SqfIdeal, support_sort_key
 
 def graph(n, *edges):
     return Graph.from_edges(n, list(edges))
+
+
+def mask_of(vertices) -> int:
+    """Bitmask of an iterable of 1-based vertices."""
+    m = 0
+    for v in vertices:
+        m |= 1 << (v - 1)
+    return m
 
 
 def path(n):
@@ -183,6 +193,10 @@ def naive_graph6_decode(text: str) -> Graph:
 
 
 # ------------------------------------------------------ graph predicates
+
+
+def is_connected(G: Graph) -> bool:
+    return len(connected_components(G)) == 1
 
 
 def brute_is_chordal(G: Graph) -> bool:
@@ -487,12 +501,36 @@ def brute_is_componentwise_linear(I, field) -> bool:
     return True
 
 
+def has_face_of_size(I: SqfIdeal, size: int) -> bool:
+    """Whether Delta(I) has a face with this many vertices: a set that
+    contains no generator.
+
+    Faces are grown one vertex at a time.  A set is a face iff it is not a
+    generator and every subset one smaller is a face, since a generator
+    strictly inside the set misses one of its vertices.
+    """
+    nonfaces = set(I.gens)
+    level = {0}
+    for _ in range(size):
+        grown = set()
+        for face in level:
+            for v in range(face.bit_length(), I.n):
+                f = face | 1 << v
+                if f not in nonfaces and all(f ^ 1 << u in level for u in iter_bits(face)):
+                    grown.add(f)
+        if not grown:
+            return False
+        level = grown
+    return True
+
+
 def general_is_componentwise_linear(I, field) -> bool:
     """Every degree component I_[j] of any squarefree ideal has a linear
     resolution: the general decision, a library route through the
     dimension step, the witness, the greedy order and the Hochster sum.
-    They are looked up on their modules at each call, so a test can count
-    them; ``has_linear_resolution`` keeps its own ``hochster_betti``.
+    They are looked up on their modules at each call (the dimension step,
+    ``has_face_of_size``, on this one), so a test can count them;
+    ``has_linear_resolution`` keeps its own ``hochster_betti``.
 
     Components above D, the largest generator degree, need no check.  For
     j >= D the squarefree component I_[j] has Stanley-Reisner complex
@@ -516,7 +554,7 @@ def general_is_componentwise_linear(I, field) -> bool:
     """
     top = max(I.degrees(), default=0)
     for j in range(1, top + 1):
-        if j == top and not betti._has_face_of_size(I, top):
+        if j == top and not has_face_of_size(I, top):
             return True
         comp = degree_component(I, j)
         if comp.is_zero:

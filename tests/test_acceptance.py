@@ -23,12 +23,12 @@ from compedge.complexes import (
     find_well_ordered_cover,
     induced_subcollection,
 )
-from compedge.graphs import is_connected
 from compedge.homology import GF2, GF3, QQ
 from compedge.ideals import complementary_edge_ideal, linear_quotient_order
 from helpers import (
     complete,
     has_linear_quotient_order,
+    is_connected,
     iter_graphs,
     min_degree_one_count,
     path,

@@ -25,9 +25,7 @@ from compedge.classify import _graph_classes, graph_from_edge_mask
 from compedge.graphs import (
     Graph,
     is_chordal,
-    is_connected,
     iter_bits,
-    mask_of,
     nonedge_masks,
 )
 from compedge.complexes import SimplicialComplex, stanley_reisner_ideal
@@ -51,7 +49,9 @@ from helpers import (
     graph,
     has_linear_quotient_order,
     has_linear_resolution,
+    is_connected,
     iter_graphs,
+    mask_of,
     minimalize_supports,
     path,
     paw,
@@ -331,11 +331,37 @@ def quadratic_ideals(draw):
     return SqfIdeal(n, minimalize_supports(gens))
 
 
+@st.composite
+def degree_two_three_ideals(draw):
+    """Ideals generated in degrees 2 and 3 on 3..9 variables: the pairs
+    outside a random graph H and some triangles of H, half the time all
+    but at most two, so that both answers of the dimension step are
+    common.  Every such ideal arises so, as a minimal cubic generator
+    contains no generating pair."""
+    n = draw(st.integers(min_value=3, max_value=9))
+    pairs = [1 << a | 1 << b for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    gens = {pair for pair, edge in zip(pairs, edges) if not edge}
+    triangles = [
+        t
+        for t in (pair | 1 << c for pair in pairs for c in range(pair.bit_length(), n))
+        if all(t ^ 1 << v not in gens for v in iter_bits(t))
+    ]
+    if triangles and draw(st.booleans()):
+        left_out = draw(st.sets(st.sampled_from(triangles), max_size=2))
+        gens.update(t for t in triangles if t not in left_out)
+    else:
+        gens.update(t for t in triangles if draw(st.booleans()))
+    return SqfIdeal(n, minimalize_supports(gens))
+
+
 @pytest.fixture
 def decisions(monkeypatch):
     """Count what each step decided.  Production: the dimension step (no
-    face of size 3), a confirmed witness, an elimination certificate.
-    The general decision in helpers adds the greedy certificate, the
+    triangle of H outside the generators, so no face of size 3), a
+    confirmed witness, an elimination certificate.  The general decision
+    in helpers adds its own dimension step (no face of the top degree's
+    size, from the minimal nonfaces), the greedy certificate, the
     Hochster fallback and the degree components it builds; its
     ``has_linear_resolution`` binds its own hochster_betti, so those
     calls are not counted."""
@@ -352,7 +378,8 @@ def decisions(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counting(betti, "_has_face_of_size", lambda found: not found)
+    counting(betti, "_has_triangle_face", lambda found: not found)
+    counting(helpers, "has_face_of_size", lambda found: not found)
     counting(betti, "_nonlinear_witness", bool)
     counting(betti, "_elimination_certificate", lambda cert: cert is not None)
     counting(ideals, "linear_quotient_order", lambda cert: cert is not None)
@@ -368,7 +395,7 @@ class TestDecisionPaths:
     def test_c4_dual_is_refuted_by_a_witness(self, decisions):
         dual = alexander_dual(complementary_edge_ideal(cycle(4)))
         assert not dual_is_componentwise_linear(dual, GF2)
-        assert decisions == {"_has_face_of_size": 1, "_nonlinear_witness": 1}
+        assert decisions == {"_has_triangle_face": 1, "_nonlinear_witness": 1}
         assert not has_linear_resolution(degree_component(dual, 2), GF2)
 
     def test_paw_dual_needs_a_certificate_and_the_dimension_step(self, decisions):
@@ -377,7 +404,7 @@ class TestDecisionPaths:
         dual = alexander_dual(complementary_edge_ideal(paw()))
         assert dual.degrees() == {2, 3}
         assert dual_is_componentwise_linear(dual, GF2)
-        assert decisions == {"_has_face_of_size": 1, "_elimination_certificate": 1}
+        assert decisions == {"_has_triangle_face": 1, "_elimination_certificate": 1}
         assert has_linear_resolution(degree_component(dual, 3), GF2)
 
     def test_projective_plane_dual_falls_back_to_hochster(self, decisions):
@@ -444,6 +471,40 @@ class TestOutsideTheGraphShape:
         with pytest.raises(NotAGraphDualError) as refused:
             dual_is_componentwise_linear(I, GF2)
         assert isinstance(refused.value, IdealError)
+
+    def test_one_quadric_has_faces_of_size_three(self):
+        # x1x2 on four vertices: H is K4 minus an edge, chordal, and its
+        # triangles {1, 3, 4} and {2, 3, 4} are faces
+        J = SqfIdeal(4, (0b0011,))
+        with pytest.raises(NotAGraphDualError, match="face of size 3"):
+            dual_is_componentwise_linear(J, GF2)
+
+    def test_paw_dual_without_its_triangle(self):
+        # H is the paw, chordal; its triangle is a face once it is no generator
+        dual = alexander_dual(complementary_edge_ideal(paw()))
+        J = SqfIdeal(dual.n, tuple(g for g in dual.gens if g.bit_count() == 2))
+        assert len(J.gens) == len(dual.gens) - 1
+        with pytest.raises(NotAGraphDualError, match="face of size 3"):
+            dual_is_componentwise_linear(J, GF2)
+
+    def test_dimension_step_matches_the_face_search(self):
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(degree_two_three_ideals())
+        def agree(J):
+            gens = set(J.gens)
+            vertices = range(J.n)
+            adj = [
+                sum(1 << u for u in vertices if u != v and 1 << u | 1 << v not in gens)
+                for v in vertices
+            ]
+            found = betti._has_triangle_face(adj, gens)
+            assert found == helpers.has_face_of_size(J, 3)
+            seen.add(found)
+
+        agree()
+        assert seen == {False, True}
 
     def test_neither_witness_nor_certificate(self, monkeypatch):
         monkeypatch.setattr(betti, "_elimination_certificate", lambda adj: None)

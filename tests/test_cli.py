@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 import compedge
 from compedge.cli import build_parser, run
-from compedge.graphs import mask_of, parse_graph
+from compedge.graphs import parse_graph
 from compedge.ideals import MonomialOrderCert, complementary_edge_ideal
-from helpers import edge_list_text, two_tree
+from helpers import edge_list_text, mask_of, two_tree
 
 
 def capture(capsys):

@@ -12,7 +12,7 @@ from compedge.complexes import (
     stanley_reisner_complex,
     stanley_reisner_ideal,
 )
-from compedge.graphs import is_triangle_free, mask_of, triangles, vertices_of
+from compedge.graphs import is_triangle_free, triangles, vertices_of
 from compedge.homology import GF2, homology_dims_of_facets
 from compedge.ideals import complementary_edge_ideal
 from conftest import random_graphs_min_degree_one
@@ -25,6 +25,7 @@ from helpers import (
     graph,
     induced_subcomplex,
     is_well_ordered_facet_cover,
+    mask_of,
     path,
     p3_union_k2,
     star4,

@@ -15,11 +15,9 @@ from compedge.graphs import (
     emit_graph,
     is_chordal,
     is_complete,
-    is_connected,
     is_disjoint_union_of_edges,
     is_forest,
     is_triangle_free,
-    mask_of,
     parse_graph,
     triangles,
     validate_standing_assumptions,
@@ -35,6 +33,8 @@ from helpers import (
     cycle,
     edge_list_text,
     graph,
+    is_connected,
+    mask_of,
     naive_graph6_decode,
     naive_graph6_encode,
     path,

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from compedge import homology
 from compedge.betti import _relabeled
 from compedge.complexes import gamma_complex, stanley_reisner_complex
-from compedge.graphs import mask_of
 from compedge.homology import GF2, GF3, QQ, FieldSpec, homology_dims_of_facets
 from compedge.ideals import complementary_edge_ideal
 from helpers import (
@@ -21,6 +20,7 @@ from helpers import (
     faces_of,
     from_facets,
     graph,
+    mask_of,
     matrix_rank,
     rp2_6,
     two_k2,
@@ -123,6 +123,42 @@ class TestRank:
             for _ in range(nrows)
         ]
         assert matrix_rank(matrix, GF2) == exact_rank_gf2(matrix)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from([1, 1, 2, 3]),
+        st.data(),
+    )
+    def test_pivot_columns_match_the_minor_oracle(self, nrows, ncols, scale, data):
+        # a pivot leads with its largest column: c leads a row of the row
+        # space iff the columns from c on have more rank than those after c
+        matrix = [
+            [
+                scale * data.draw(st.integers(min_value=-3, max_value=3))
+                for _ in range(ncols)
+            ]
+            for _ in range(nrows)
+        ]
+        order = data.draw(st.permutations(range(nrows)))
+
+        def rows(indices, p):
+            sparse = (
+                {c: x for c, x in enumerate(matrix[i]) if (x % p if p else x)}
+                for i in indices
+            )
+            return [row for row in sparse if row]
+
+        for p in (2, 3, 0):
+            expected = {
+                c
+                for c in range(ncols)
+                if brute_rank([row[c:] for row in matrix], p)
+                > brute_rank([row[c + 1:] for row in matrix], p)
+            }
+            assert set(homology._pivots(rows(range(nrows), p), p)) == expected
+            assert set(homology._pivots(rows(order, p), p)) == expected
 
     def test_no_unit_pivot(self):
         # determinant -12: invertible over QQ and GF(5), singular over GF(3)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from compedge.graphs import mask_of, vertices_of
+from compedge.graphs import vertices_of
 from compedge.ideals import (
     MonomialOrderCert,
     NotEquigeneratedError,
@@ -38,6 +38,8 @@ from helpers import (
     degree_component,
     graph,
     has_linear_quotient_order,
+    is_connected,
+    mask_of,
     minimalize_supports,
     path,
     paw,
@@ -362,8 +364,6 @@ class TestLinearlyRelated:
     @settings(max_examples=80, deadline=None)
     @given(random_graphs_min_degree_one(4, 6))
     def test_iff_connected(self, G):
-        from compedge.graphs import is_connected
-
         I = complementary_edge_ideal(G)
         assert is_linearly_related(I, lcm_graph(I)) == is_connected(G)
 
@@ -450,8 +450,6 @@ class TestLinearQuotients:
     @settings(max_examples=80, deadline=None)
     @given(random_graphs_min_degree_one(4, 6))
     def test_connected_orders_verify(self, G):
-        from compedge.graphs import is_connected
-
         I = complementary_edge_ideal(G)
         cert = linear_quotient_order(I)
         if is_connected(G):
