@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .complexes import maximal_supports, stanley_reisner_complex
-from .graphs import elimination_order, iter_bits
+from .graphs import elimination_order, iter_bits, iter_triangles
 from .homology import FieldSpec, facet_holders, homology_dims_of_facets
 from .ideals import (
     IdealError,
@@ -212,12 +212,7 @@ def _has_triangle_face(adj, gens) -> bool:
     not in ``gens``.  When H is the graph of the pairs that are not
     generators and no generator has degree above 3, these are the faces
     of size 3 of the ideal's complex."""
-    for a, row in enumerate(adj):
-        for b in iter_bits(row & -(2 << a)):
-            for c in iter_bits(row & adj[b] & -(2 << b)):
-                if 1 << a | 1 << b | 1 << c not in gens:
-                    return True
-    return False
+    return any(t not in gens for t in iter_triangles(adj))
 
 
 def _nonlinear_witness(adj, field: FieldSpec) -> bool:
@@ -349,14 +344,10 @@ def is_gorenstein(table: BettiTable, height: int) -> bool:
     return table.pd + 1 == height and table.total(table.pd) == 1
 
 
-def ring_properties(
-    I: SqfIdeal,
-    field: FieldSpec,
-    table: BettiTable,
-    dual: SqfIdeal,
-) -> PropertyReport:
+def ring_properties(table: BettiTable, dual: SqfIdeal) -> PropertyReport:
     """Resolution shape and ring-theoretic classifications of S/I, read
-    off I's Betti ``table`` over ``field`` and its Alexander ``dual``.
+    off I's Betti ``table`` (over ``table.field``) and its Alexander
+    ``dual``.  I's generator degree is the least shift at step 0.
 
     Cohen-Macaulayness is tested as pd(I) + 1 equal to the height, the
     last resolution step decides Gorenstein (total rank one) and level
@@ -365,15 +356,15 @@ def ring_properties(
     graph's dual (see :func:`dual_is_componentwise_linear`), or
     NotAGraphDualError is raised.
     """
-    if I.is_zero:
+    if not table.entries:
         raise ZeroIdealError("ring properties of the zero ideal are undefined")
     pd = table.pd
     reg = table.reg
-    d = min(I.degrees())
-    linear = all(j == i + d for i, j in table.entries)
     shifts_per_step: dict[int, set[int]] = {}
     for i, j in table.entries:
         shifts_per_step.setdefault(i, set()).add(j)
+    d = min(shifts_per_step[0])
+    linear = all(j == i + d for i, j in table.entries)
     pure = all(len(js) == 1 for js in shifts_per_step.values())
     # the dual's generators are the minimal primes
     heights = dual.degrees()
@@ -381,7 +372,7 @@ def ring_properties(
     ht = min(heights)
     cm = pd + 1 == ht
     level = cm and len(shifts_per_step[pd]) == 1
-    cw_dual = dual_is_componentwise_linear(dual, field)
+    cw_dual = dual_is_componentwise_linear(dual, table.field)
     return PropertyReport(
         pd=pd,
         reg=reg,

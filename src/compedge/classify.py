@@ -38,7 +38,7 @@ from .betti import (
 )
 from .complexes import gamma_complex, stanley_reisner_ideal
 from .graphs import Graph, emit_graph, iter_bits, vertices_of
-from .homology import GF2, GF3, QQ, FieldSpec
+from .homology import GF2, GF3, QQ, FieldSpec, facet_holders
 
 MODE_CORRECTED = "corrected"
 MODE_PAPER_LITERAL = "paper-literal"
@@ -81,10 +81,10 @@ def classify_graph(G: Graph, mode: str = MODE_CORRECTED) -> ClassificationReport
     comps = g.connected_components(G)
     connected = len(comps) == 1
     complete = g.is_complete(G)
-    forest = g.is_forest(G)
+    forest = G.edge_count() == n - len(comps)
     tree = connected and forest
     chordal = g.is_chordal(G)
-    triangle_free = g.is_triangle_free(G)
+    triangle_free = next(g.iter_triangles(G.adj), None) is None
     duoe = g.is_disjoint_union_of_edges(G)
     if tree or (complete and mode == MODE_PAPER_LITERAL):
         pd, reg = 1, n - 2
@@ -150,18 +150,17 @@ def _expected_dual_supports(G: Graph) -> list[int]:
     return sorted(g.nonedge_masks(G) + g.triangles(G), key=idl.support_sort_key)
 
 
-def _lcm_graph_matches_line_graph(
-    G: Graph, I: idl.SqfIdeal, adj: tuple[int, ...]
-) -> bool:
-    full = G.full_mask
-    edge_of = [full ^ s for s in I.gens]
-    m = len(edge_of)
-    for a in range(m):
-        for b in range(a + 1, m):
-            expected = bool(edge_of[a] & edge_of[b])
-            if bool(adj[a] >> b & 1) != expected:
-                return False
-    return True
+def _lcm_graph_matches_line_graph(I: idl.SqfIdeal, adj: tuple[int, ...]) -> bool:
+    """Whether ``adj`` holds the line graph's rows: generator k is adjacent
+    to the generators whose edges (the complements) meet edge k."""
+    full = (1 << I.n) - 1
+    edges = [full ^ s for s in I.gens]
+    holders = facet_holders(edges)  # each vertex's incident edges
+    predicted = []
+    for k, e in enumerate(edges):
+        u, v = vertices_of(e)
+        predicted.append((holders[u - 1] | holders[v - 1]) ^ 1 << k)
+    return tuple(predicted) == adj
 
 
 def _forest_betti_shape(table: BettiTable, n: int, c: int, duoe: bool) -> tuple[dict, dict]:
@@ -204,7 +203,7 @@ def analyze_graph(
     I = idl.complementary_edge_ideal(G)
     dual = idl.alexander_dual(I)
     table = koszul_betti(I, field)
-    props = ring_properties(I, field, table=table, dual=dual)
+    props = ring_properties(table, dual)
     n = G.n
 
     claims: dict[str, dict] = {}
@@ -230,11 +229,7 @@ def analyze_graph(
     sr = involution if tuple(complements) == dual.gens else stanley_reisner_ideal(gamma)
     add("stanley_reisner_roundtrip", True, sr == I)
     lcm_rows = idl.lcm_graph(I)
-    add(
-        "lcm_graph_is_line_graph",
-        True,
-        _lcm_graph_matches_line_graph(G, I, lcm_rows),
-    )
+    add("lcm_graph_is_line_graph", True, _lcm_graph_matches_line_graph(I, lcm_rows))
 
     add("linear_resolution_iff_connected", cls.connected, props.linear_resolution)
     add(
@@ -286,15 +281,15 @@ def analyze_graph(
     return GraphAnalysis(G, I, dual, table, props, cls, consistency)
 
 
-def edge_pairs(n: int) -> list[tuple[int, int]]:
+@functools.cache
+def edge_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """0-based vertex pairs indexing the bits of an edge mask."""
-    return list(combinations(range(n), 2))
+    return tuple(combinations(range(n), 2))
 
 
-def graph_from_edge_mask(n: int, mask: int, pairs=None) -> Graph | None:
+def graph_from_edge_mask(n: int, mask: int) -> Graph | None:
     """Graph for an edge bitmask, or None if some vertex ends up isolated."""
-    if pairs is None:
-        pairs = edge_pairs(n)
+    pairs = edge_pairs(n)
     adj = [0] * n
     for t in iter_bits(mask):
         i, j = pairs[t]
@@ -334,10 +329,9 @@ def edge_mask_orbits(n: int):
 def _graph_classes(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The orbits of graphs on [n] with no isolated vertex, computed once
     per process and shared, so they are immutable."""
-    pairs = edge_pairs(n)
     return tuple(
         (least, tuple(members)) for least, members in edge_mask_orbits(n)
-        if graph_from_edge_mask(n, least, pairs) is not None
+        if graph_from_edge_mask(n, least) is not None
     )
 
 
@@ -424,14 +418,13 @@ def _sweep_chunk(args) -> tuple[int, dict, list, list]:
     disagreements carry their labeled graph6 strings."""
     n, classes, char, mode, cross_field = args
     field = FieldSpec(char)
-    pairs = edge_pairs(n)
     count = 0
     tallies: dict[str, list[int]] = {}
     mismatches: list[dict] = []
     disagreements: list[dict] = []
     for least, members in classes:
         count += len(members)
-        record = analyze_graph(graph_from_edge_mask(n, least, pairs), field, mode)
+        record = analyze_graph(graph_from_edge_mask(n, least), field, mode)
         if record.consistency.all_match() and not (
             cross_field and _cross_field_check(record)
         ):
@@ -439,7 +432,7 @@ def _sweep_chunk(args) -> tuple[int, dict, list, list]:
                 tallies.setdefault(name, [0, 0])[0] += len(members)
             continue
         for mask in members:
-            record = analyze_graph(graph_from_edge_mask(n, mask, pairs), field, mode)
+            record = analyze_graph(graph_from_edge_mask(n, mask), field, mode)
             if cross_field:
                 disagreements.extend(_cross_field_check(record))
             _verify_into(tallies, mismatches, record.consistency)
@@ -529,10 +522,9 @@ def gorenstein_census(n: int, field: FieldSpec = GF2) -> list[str]:
     """graph6 strings of all graphs whose quotient ring is Gorenstein,
     decided once per isomorphism class."""
     _check_vertex_range(n, n)
-    pairs = edge_pairs(n)
     out = []
     for least, members in _graph_classes(n):
-        I = idl.complementary_edge_ideal(graph_from_edge_mask(n, least, pairs))
+        I = idl.complementary_edge_ideal(graph_from_edge_mask(n, least))
         if is_gorenstein(koszul_betti(I, field), idl.height(I)):
-            out.extend(emit_graph(graph_from_edge_mask(n, m, pairs)) for m in members)
+            out.extend(emit_graph(graph_from_edge_mask(n, m)) for m in members)
     return sorted(out)

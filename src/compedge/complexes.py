@@ -106,26 +106,18 @@ def induced_subcollection(cx: SimplicialComplex, W: int) -> SimplicialComplex:
 
 def _check_cover_seq(facet_set: frozenset, cover_mask: int, seq) -> bool:
     k = len(seq)
-    union = 0
-    for f in seq:
-        union |= f
-    if cover_mask & ~union:
-        return False
-    # minimality: a proper covering subset would survive one removal
-    for i in range(k):
-        rest = 0
-        for j in range(k):
-            if j != i:
-                rest |= seq[j]
-        if not cover_mask & ~rest:
-            return False
-    others = facet_set.difference(seq)
-    if not others:
-        return True
     suffix = [0] * (k + 1)
     for i in range(k - 1, -1, -1):
         suffix[i] = suffix[i + 1] | seq[i]
-    for h in others:
+    if cover_mask & ~suffix[0]:
+        return False
+    # minimality: a proper covering subset would survive one removal
+    prefix = 0
+    for i in range(k):
+        if not cover_mask & ~(prefix | suffix[i + 1]):
+            return False
+        prefix |= seq[i]
+    for h in facet_set.difference(seq):
         if not any(seq[i] & ~(h | suffix[i + 1]) == 0 for i in range(k - 1)):
             return False
     return True

@@ -10,7 +10,6 @@ about (``n <= 62``, the single-byte graph6 range).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 MAX_VERTICES = 62
 
@@ -270,19 +269,6 @@ def is_complete(G: Graph) -> bool:
     return all(G.adj[i] == full ^ (1 << i) for i in range(G.n))
 
 
-def is_forest(G: Graph) -> bool:
-    return G.edge_count() == G.n - len(connected_components(G))
-
-
-def is_triangle_free(G: Graph) -> bool:
-    for i in range(G.n):
-        row = G.adj[i] >> (i + 1)
-        for j in iter_bits(row):
-            if G.adj[i] & G.adj[i + j + 1]:
-                return False
-    return True
-
-
 def is_disjoint_union_of_edges(G: Graph) -> bool:
     return all(row.bit_count() == 1 for row in G.adj)
 
@@ -297,13 +283,22 @@ def nonedge_masks(G: Graph) -> list[int]:
     return out
 
 
+def iter_triangles(adj):
+    """Yield the vertex masks of the triangles of the graph with these
+    adjacency rows, in lexicographic (i, j, k) order: j from row i above
+    i, then k from row i & row j above j."""
+    for i, row in enumerate(adj):
+        for j in iter_bits(row & -(2 << i)):
+            later = row & adj[j] & -(2 << j)
+            while later:
+                k = later & -later
+                yield 1 << i | 1 << j | k
+                later ^= k
+
+
 def triangles(G: Graph) -> list[int]:
     """Vertex masks of all triangles, in lexicographic (i, j, k) order."""
-    out = []
-    for i, j, k in combinations(range(G.n), 3):
-        if G.adj[i] >> j & 1 and G.adj[i] >> k & 1 and G.adj[j] >> k & 1:
-            out.append(1 << i | 1 << j | 1 << k)
-    return out
+    return list(iter_triangles(G.adj))
 
 
 def elimination_order(adj) -> list[int]:

@@ -227,12 +227,34 @@ def brute_is_chordal(G: Graph) -> bool:
     return True
 
 
+def brute_triangles(G: Graph) -> list[int]:
+    """Triangle masks by a scan of every vertex triple in lexicographic order."""
+    return [
+        1 << a | 1 << b | 1 << c
+        for a, b, c in combinations(range(G.n), 3)
+        if G.adj[a] >> b & 1 and G.adj[a] >> c & 1 and G.adj[b] >> c & 1
+    ]
+
+
 def brute_triangle_count(G: Graph) -> int:
-    count = 0
-    for a, b, c in combinations(range(G.n), 3):
-        if G.adj[a] >> b & 1 and G.adj[a] >> c & 1 and G.adj[b] >> c & 1:
-            count += 1
-    return count
+    return len(brute_triangles(G))
+
+
+def brute_is_forest(G: Graph) -> bool:
+    """No cycle: union-find meets no edge whose endpoints are already joined."""
+    parent = list(range(G.n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for i, j in G.edges():
+        a, b = root(i - 1), root(j - 1)
+        if a == b:
+            return False
+        parent[a] = b
+    return True
 
 
 # -------------------------------------------------- hypergraph transversals

@@ -132,7 +132,7 @@ class TestOracleMemo:
             return compute(facets, char)
 
         monkeypatch.setattr(homology, "_compute_dims", counting)
-        monkeypatch.setattr(homology, "_dims_cache", {})
+        homology._dims.cache_clear()
         for field in (GF2, GF3, QQ):
             computed.clear()
             table = hochster_betti(I, field)
@@ -143,10 +143,10 @@ class TestOracleMemo:
     @given(random_graphs_min_degree_one(4, 9), st.sampled_from([GF2, QQ]))
     def test_engines_agree_on_their_own_memo_entries(self, G, field):
         I = complementary_edge_ideal(G)
-        with mock.patch.dict(homology._dims_cache, clear=True):
-            koszul = koszul_betti(I, field).entries
-            homology._dims_cache.clear()
-            assert hochster_betti(I, field).entries == koszul
+        homology._dims.cache_clear()
+        koszul = koszul_betti(I, field).entries
+        homology._dims.cache_clear()
+        assert hochster_betti(I, field).entries == koszul
 
 
 class TestTorsion:
@@ -455,7 +455,7 @@ class TestOutsideTheGraphShape:
     def test_projective_plane_dual(self, field):
         I = stanley_reisner_ideal(rp2_6())
         with pytest.raises(NotAGraphDualError):
-            ring_properties(I, field, koszul_betti(I, field), alexander_dual(I))
+            ring_properties(koszul_betti(I, field), alexander_dual(I))
 
     def test_degree_four_generator(self):
         # the maximal ideal of four variables: its dual is x1x2x3x4
@@ -463,7 +463,7 @@ class TestOutsideTheGraphShape:
         dual = alexander_dual(I)
         assert dual.gens == (0b1111,)
         with pytest.raises(NotAGraphDualError):
-            ring_properties(I, GF2, koszul_betti(I, GF2), dual)
+            ring_properties(koszul_betti(I, GF2), dual)
 
     def test_degree_one_generator(self):
         # x1, x2x3: no face of size 3, but J_[2] is not its quadratic part
@@ -574,7 +574,7 @@ class TestPositions:
 
 
 def _ring_properties_gf2(I):
-    return ring_properties(I, GF2, koszul_betti(I, GF2), alexander_dual(I))
+    return ring_properties(koszul_betti(I, GF2), alexander_dual(I))
 
 
 class TestRingProperties:
@@ -601,6 +601,11 @@ class TestRingProperties:
         props = _ring_properties_gf2(complementary_edge_ideal(paw()))
         assert props.componentwise_linear_dual
         assert not props.unmixed
+
+    def test_empty_table_is_the_zero_ideal(self):
+        dual = alexander_dual(complementary_edge_ideal(paw()))
+        with pytest.raises(ZeroIdealError):
+            ring_properties(BettiTable(4, GF2, {}), dual)
 
     def test_linear_resolution_helper(self):
         dual = alexander_dual(complementary_edge_ideal(cycle(4)))

@@ -148,6 +148,25 @@ class TestEachClaimFailsOnItsOwnObject:
         assert not claims["dual_involution"]["match"]
 
 
+class TestLineGraphCheck:
+    """The lcm graph's rows come from generator unions, the prediction from
+    edge incidences; one pair out of place on either side is caught."""
+
+    @pytest.mark.parametrize("G", [paw(), cycle(6), complete(5)], ids=["paw", "C6", "K5"])
+    def test_every_flipped_pair_fails(self, G):
+        I = ideals.complementary_edge_ideal(G)
+        rows = ideals.lcm_graph(I)
+        assert classify._lcm_graph_matches_line_graph(I, rows)
+        flips = set()
+        for a, b in combinations(range(len(rows)), 2):
+            flips.add(rows[a] >> b & 1)
+            flipped = list(rows)
+            flipped[a] ^= 1 << b
+            flipped[b] ^= 1 << a
+            assert not classify._lcm_graph_matches_line_graph(I, tuple(flipped))
+        assert flips == {0, 1}  # pairs both removed and added
+
+
 class TestAnalyzeRunsNoHochsterSum:
     """The dual's componentwise linearity is decided without the 2^n
     Hochster sum, and every antichain comes from its producer unreduced:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import compedge
+from compedge import homology
 from compedge.cli import build_parser, run
 from compedge.graphs import parse_graph
 from compedge.ideals import MonomialOrderCert, complementary_edge_ideal
@@ -191,7 +192,7 @@ class TestBetti:
     def test_rational_oracle_at_the_limit(self, capsys, monkeypatch):
         # the bound separates the reduction with clearing (about 0.5 s on a
         # 2-core machine) from one that pivots every row (11-13 s there)
-        monkeypatch.setattr("compedge.homology._dims_cache", {})
+        homology._dims.cache_clear()
         monkeypatch.setattr("sys.stdin", io.StringIO(cycle_with_two_chords(14)))
         start = time.perf_counter()
         code = run(

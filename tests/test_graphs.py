@@ -16,18 +16,19 @@ from compedge.graphs import (
     is_chordal,
     is_complete,
     is_disjoint_union_of_edges,
-    is_forest,
-    is_triangle_free,
     parse_graph,
     triangles,
     validate_standing_assumptions,
     vertices_of,
 )
-from conftest import random_graphs
+from compedge.classify import classify_graph
+from conftest import random_graphs, random_graphs_min_degree_one
 from helpers import (
     all_graphs,
     brute_is_chordal,
+    brute_is_forest,
     brute_triangle_count,
+    brute_triangles,
     complement,
     complete,
     cycle,
@@ -197,19 +198,22 @@ class TestComponentsAndPredicates:
         assert not is_disjoint_union_of_edges(path(4))
 
     def test_tree_and_forest(self):
-        assert is_forest(path(4)) and is_connected(path(4))
-        assert is_forest(two_k2()) and not is_connected(two_k2())
-        assert not is_forest(cycle(4))
+        assert classify_graph(path(4)).tree
+        assert classify_graph(two_k2()).forest and not classify_graph(two_k2()).tree
+        assert not classify_graph(cycle(4)).forest
 
     def test_triangle_free(self):
-        assert is_triangle_free(cycle(4))
-        assert not is_triangle_free(paw())
+        assert classify_graph(cycle(4)).triangle_free
+        assert not classify_graph(paw()).triangle_free
 
     @settings(max_examples=200, deadline=None)
-    @given(random_graphs(1, 7))
+    @given(random_graphs_min_degree_one(4, 7))
     def test_forest_iff_edge_count(self, G):
-        expected = G.edge_count() == G.n - len(connected_components(G))
-        assert is_forest(G) == expected
+        # the classification counts edges against components; the oracle
+        # looks for a cycle edge by edge
+        report = classify_graph(G)
+        assert report.forest == brute_is_forest(G)
+        assert report.triangle_free == (brute_triangle_count(G) == 0)
 
     @settings(max_examples=200, deadline=None)
     @given(random_graphs(1, 7))
@@ -238,9 +242,10 @@ class TestTriangles:
         assert [vertices_of(t) for t in triangles(paw())] == [(1, 2, 3)]
 
     @settings(max_examples=200, deadline=None)
-    @given(random_graphs(3, 7))
+    @given(random_graphs(3, 10))
     def test_count_matches_brute_force(self, G):
-        assert len(triangles(G)) == brute_triangle_count(G)
+        # the same masks in the same lexicographic order
+        assert triangles(G) == brute_triangles(G)
 
 
 class TestComplement:

@@ -320,7 +320,7 @@ class TestClearing:
             return pivots(rows, p)
 
         monkeypatch.setattr(homology, "_pivots", counting)
-        monkeypatch.setattr(homology, "_dims_cache", {})
+        homology._dims.cache_clear()
         faces = sum(1 for m in faces_of(complex_.facets) if m.bit_count() >= 2)
         for field in (GF2, GF3, QQ):
             expected = full_reduction_dims(complex_, field)
@@ -332,6 +332,28 @@ class TestClearing:
             assert dims(complex_, field) == expected
             # 481 rows of faces of dimension >= 1, 235 of them cleared
             assert sum(handed) == faces - cleared == 246
+
+
+class TestMemoBound:
+    def test_least_recently_used_keys_are_evicted(self):
+        maxsize = homology._dims.cache_info().maxsize
+        points = [1 << v for v in range(17)]
+        # point sets of at least two of 17 vertices, each its own key
+        keys = [
+            tuple(points[v] for v in range(17) if s >> v & 1)
+            for s in range(1 << 17) if s.bit_count() >= 2
+        ][: maxsize + 10]
+        homology._dims.cache_clear()
+        try:
+            first = homology_dims_of_facets(keys[0], 2)
+            for key in keys[1:]:
+                homology_dims_of_facets(key, 2)
+            info = homology._dims.cache_info()
+            assert info.currsize == maxsize and info.misses == maxsize + 10
+            assert homology_dims_of_facets(keys[0], 2) == first == ((0, 1),)
+            assert homology._dims.cache_info().misses == maxsize + 11
+        finally:
+            homology._dims.cache_clear()
 
 
 class TestFaceLevels:
