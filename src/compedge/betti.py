@@ -4,9 +4,10 @@ Two independent engines compute the same table.  The production path
 builds, for every multidegree sigma, the complex of subsets tau of sigma
 whose complementary monomial lies in the ideal, whose reduced homology in
 degree i - 1 gives the multigraded number at (i, sigma).  Only elements of
-the lcm lattice can carry homology (Gasharov-Peeva-Welker), and for the
-edge-complement ideals that lattice has at most m + n + 1 elements, so the
-cost is polynomial in the graph.  The oracle path sums reduced homology of
+the lcm lattice can carry homology (Gasharov-Peeva-Welker); for the
+edge-complement ideals it has at most m + n + 1 elements, so the cost is
+polynomial in the graph, and the ideal builds it once, with the generators
+inside each element.  The oracle path sums reduced homology of
 vertex-restricted Stanley-Reisner complexes over all 2^n vertex subsets:
 the rank in homological index i and degree j is the sum over all j-subsets
 W of the dimension of reduced homology in degree j - i - 2 of the
@@ -30,7 +31,6 @@ from .ideals import (
     SqfIdeal,
     UnitIdealError,
     ZeroIdealError,
-    lcm_lattice,
 )
 
 
@@ -162,8 +162,8 @@ def multigraded_koszul_betti(I: SqfIdeal, field: FieldSpec) -> dict[tuple[int, i
     gens = I.gens
     char = field.characteristic
     out: dict[tuple[int, int], int] = {}
-    for sigma in lcm_lattice(gens):
-        facets = tuple(sigma ^ g for g in gens if g & ~sigma == 0)
+    for sigma, inside in I.lattice.items():
+        facets = tuple([sigma ^ gens[k] for k in iter_bits(inside)])
         for k, h in homology_dims_of_facets(facets, char):
             out[(k + 1, sigma)] = h
     return out

@@ -113,7 +113,7 @@ def _pivots(rows: list[dict[int, int]], p: int) -> KeysView[int]:
 
 def facet_holders(facets) -> list[int]:
     """holders[v] is the mask of the indices of the facets holding vertex v."""
-    holders = [0] * max(facets).bit_length()
+    holders = [0] * max(facets, default=0).bit_length()
     for i, f in enumerate(facets):
         while f:
             low = f & -f

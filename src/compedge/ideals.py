@@ -10,16 +10,17 @@ The central constructions here: the ideal with one degree n-2 generator
 per graph edge (each generator is the product of all variables except the
 edge's endpoints), minimal transversals by Berge's one-support-at-a-time
 algorithm and through them minimal primes and Alexander duality, the lcm
-graph of an equigenerated ideal, the lcm lattice, and a greedy linear
-quotient order that records each step's colon variables, one mask per
-step, as it appends; ``MonomialOrderCert.is_valid_for`` checks such a
-certificate against the colon's definition, in time linear in each
-step's prefix.
+lattice, built once per ideal with the generators inside each element,
+from which the lcm graph and linear relatedness are read, and a greedy
+linear quotient order that records each step's colon variables as one
+mask; ``MonomialOrderCert.is_valid_for`` checks such a certificate
+against the colon's definition, in time linear in each step's prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import (
     Graph,
@@ -28,6 +29,7 @@ from .graphs import (
     validate_standing_assumptions,
     vertices_of,
 )
+from .homology import facet_holders
 
 
 class IdealError(Exception):
@@ -70,7 +72,7 @@ def monomial_str(mask: int) -> str:
     return "*".join(f"x{v}" for v in vertices_of(mask))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SqfIdeal:
     """Minimal generating set of a squarefree monomial ideal in n variables,
     each generator given by its support mask."""
@@ -81,6 +83,11 @@ class SqfIdeal:
     @property
     def is_zero(self) -> bool:
         return not self.gens
+
+    @cached_property
+    def lattice(self) -> dict[int, int]:
+        """``lcm_lattice(gens)``, built at most once per object (not a field)."""
+        return lcm_lattice(self.gens)
 
     def degrees(self) -> set[int]:
         return {g.bit_count() for g in self.gens}
@@ -150,69 +157,60 @@ def alexander_dual(I: SqfIdeal) -> SqfIdeal:
     return SqfIdeal(I.n, tuple(minimal_primes(I)))
 
 
-def lcm_graph(I: SqfIdeal) -> tuple[int, ...]:
-    """Adjacency masks of the graph on the generators, adjacent when their
-    lcm has degree d + 1; bare rows, so any number of generators fits."""
+def _generator_degree(I: SqfIdeal, what: str) -> int:
+    """The generators' one degree, or a typed error saying why not."""
     if I.is_zero:
-        raise ZeroIdealError("lcm graph of the zero ideal is undefined")
+        raise ZeroIdealError(f"{what} of the zero ideal is undefined")
     if not I.is_equigenerated():
         raise NotEquigeneratedError(f"generators span degrees {sorted(I.degrees())}")
-    d = I.gens[0].bit_count()
-    masks = I.gens
-    m = len(masks)
-    adj = [0] * m
-    for a in range(m):
-        for b in range(a + 1, m):
-            if (masks[a] | masks[b]).bit_count() == d + 1:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
+    return I.gens[0].bit_count()
+
+
+def lcm_graph(I: SqfIdeal) -> tuple[int, ...]:
+    """Adjacency masks of the graph on the generators, adjacent when their
+    lcm has degree d + 1; bare rows, so any number of generators fits.
+    Each lattice element of degree d + 1 joins the generators inside it."""
+    d = _generator_degree(I, "lcm graph")
+    adj = [0] * len(I.gens)
+    for sigma, inside in I.lattice.items():
+        if sigma.bit_count() == d + 1:
+            for k in iter_bits(inside):
+                adj[k] |= inside ^ 1 << k
     return tuple(adj)
 
 
-def lcm_lattice(gens) -> list[int]:
-    """The lcm lattice without its bottom: every nonempty union of the
-    generator masks, sorted.  Each element outside the generators is a
-    smaller element joined with one more generator, so closing under union
-    with the generators suffices."""
+def lcm_lattice(gens) -> dict[int, int]:
+    """The lcm lattice without its bottom, in increasing order, each element
+    mapped to the mask of the indices of the generators inside it: those
+    missing no vertex outside it.  Each element is a generator or a smaller
+    element joined with one more, so closing under union suffices."""
     elements = set(gens)
     frontier = elements
     while frontier:
         frontier = {x | g for x in frontier for g in gens} - elements
         elements |= frontier
-    return sorted(elements)
+    ordered = sorted(elements)
+    top = ordered[-1] if ordered else 0
+    missing = facet_holders([top ^ g for g in gens])  # vertex -> generators missing it
+    lattice = {}
+    for sigma in ordered:
+        inside = (1 << len(gens)) - 1
+        for v in iter_bits(top ^ sigma):
+            inside &= missing[v]
+        lattice[sigma] = inside
+    return lattice
 
 
 def is_linearly_related(I: SqfIdeal, adj: tuple[int, ...]) -> bool:
     """First syzygies linear: every generator pair is joined by a path of
     generators dividing the pair's lcm, adjacency meaning lcm degree d + 1.
-    ``adj`` is ``lcm_graph(I)``, which the caller builds once.
-
-    Pairs are grouped by their lcm: for each distinct lcm the components
-    of the lcm graph on the generators dividing it are found once, and a
-    pair is joined iff one end lies in the other's component."""
-    masks = I.gens
-    m = len(masks)
-    d = masks[0].bit_count()
-    # lcm -> {a: mask of the b > a whose pair with a has that lcm}
-    pairs_by_lcm: dict[int, dict[int, int]] = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            target = masks[a] | masks[b]
-            if target.bit_count() > d + 1:
-                rows = pairs_by_lcm.setdefault(target, {})
-                rows[a] = rows.get(a, 0) | 1 << b
-    component = [0] * m
-    for target, rows in pairs_by_lcm.items():
-        dividing = 0
-        for w in range(m):
-            if masks[w] & ~target == 0:
-                dividing |= 1 << w
-        for comp in components_within(adj, dividing):
-            for w in iter_bits(comp):
-                component[w] = comp
-        if any(bs & ~component[a] for a, bs in rows.items()):
-            return False
-    return True
+    ``adj`` is ``lcm_graph(I)``, which the caller builds once.  Equivalently,
+    ``adj`` is connected on the generators inside each lattice element above
+    degree d + 1 (the rest hold one generator or a clique): a pair's lcm is
+    an element, and a pair inside sigma has its lcm inside sigma."""
+    d = _generator_degree(I, "linear relatedness")
+    high = (inside for sigma, inside in I.lattice.items() if sigma.bit_count() > d + 1)
+    return all(len(components_within(adj, inside)) == 1 for inside in high)
 
 
 @dataclass(frozen=True, slots=True)

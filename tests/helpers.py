@@ -288,6 +288,17 @@ def brute_lcm_lattice(gens) -> list[int]:
         family = bigger
 
 
+def brute_lcm_graph(I) -> tuple[int, ...]:
+    """Every generator pair tried: adjacent when the lcm has degree d + 1."""
+    d = I.gens[0].bit_count()
+    adj = [0] * len(I.gens)
+    for a, b in combinations(range(len(I.gens)), 2):
+        if (I.gens[a] | I.gens[b]).bit_count() == d + 1:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return tuple(adj)
+
+
 def minimalize_supports(masks) -> tuple[int, ...]:
     """Inclusion-minimal elements of any family of masks, canonically
     sorted: the minimal generating set of the ideal they generate."""

@@ -167,6 +167,24 @@ class TestLineGraphCheck:
         assert flips == {0, 1}  # pairs both removed and added
 
 
+class TestLatticeBuiltOncePerIdeal:
+    def test_one_closure_per_analysis(self, monkeypatch):
+        # the Koszul tables in every field, the lcm graph and linear
+        # relatedness all read the one lattice of the graph's ideal
+        calls = []
+        real = ideals.lcm_lattice
+
+        def counted(gens):
+            calls.append(gens)
+            return real(gens)
+
+        monkeypatch.setattr(ideals, "lcm_lattice", counted)
+        graphs = [paw(), cycle(6), complete(5), two_k2()]
+        for G in graphs:
+            classify._cross_field_check(analyze_graph(G, GF2))
+        assert len(calls) == len(graphs)
+
+
 class TestAnalyzeRunsNoHochsterSum:
     """The dual's componentwise linearity is decided without the 2^n
     Hochster sum, and every antichain comes from its producer unreduced:

@@ -21,7 +21,7 @@ from compedge import homology
 from compedge.cli import build_parser, run
 from compedge.graphs import parse_graph
 from compedge.ideals import MonomialOrderCert, complementary_edge_ideal
-from helpers import edge_list_text, mask_of, two_tree
+from helpers import complete, edge_list_text, mask_of, two_tree
 
 
 def capture(capsys):
@@ -146,6 +146,14 @@ class TestBetti:
         doc = json.loads(capture(capsys)[0])
         assert doc["betti"]["entries"] == {"0,60": 64, "1,61": 66, "2,62": 3}
         assert elapsed < 10
+
+    def test_n62_complete_graph(self, capsys, monkeypatch):
+        # 1,954 lattice elements: the 1,891 generators, the [n] - v and [n]
+        monkeypatch.setattr("sys.stdin", io.StringIO(edge_list_text(complete(62))))
+        code = run(["betti", "-", "--format", "edge-list", "--json"])
+        assert code == 0
+        doc = json.loads(capture(capsys)[0])
+        assert doc["betti"]["entries"] == {"0,60": 1891, "1,61": 3720, "2,62": 1830}
 
     @pytest.mark.parametrize("command, seconds", [("betti", 1), ("analyze", 10)])
     def test_cross_check_above_the_oracle_limit_exits_two(

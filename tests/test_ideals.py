@@ -29,6 +29,7 @@ from helpers import (
     brute_canonical_key,
     brute_has_linear_quotient_order,
     brute_is_linearly_related,
+    brute_lcm_graph,
     brute_lcm_lattice,
     brute_minimal_transversals,
     colon_min_gens,
@@ -265,6 +266,17 @@ def line_graph_rows(G, I):
     )
 
 
+@st.composite
+def equigenerated_ideals(draw):
+    """1..12 distinct d-subsets of 3..8 variables, 1 <= d < n, so that
+    pairs of generators have lcms of several different degrees."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    d = draw(st.integers(min_value=1, max_value=n - 1))
+    subsets = [sum(1 << v for v in c) for c in combinations(range(n), d)]
+    gens = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=12))
+    return SqfIdeal(n, minimalize_supports(gens))
+
+
 class TestLcmGraph:
     def test_p4_is_path(self):
         I = complementary_edge_ideal(path(4))
@@ -300,39 +312,57 @@ class TestLcmGraph:
         with pytest.raises(NotEquigeneratedError):
             lcm_graph(I)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(equigenerated_ideals())
+    def test_matches_the_pairwise_loop(self, I):
+        assert lcm_graph(I) == brute_lcm_graph(I)
+
+
+def assert_lattice_lists_the_generators_inside(gens):
+    """The lattice's elements are the brute closure's, and each element's
+    generator mask is the brute filter {k : gens[k] inside sigma}."""
+    lattice = lcm_lattice(gens)
+    assert list(lattice) == brute_lcm_lattice(gens)
+    for sigma, inside in lattice.items():
+        assert inside == sum(1 << k for k, g in enumerate(gens) if g & ~sigma == 0)
+    return lattice
+
 
 class TestLcmLattice:
     def test_p4(self):
         I = complementary_edge_ideal(path(4))
         # the generators, [4] minus vertex 2 or 3, and [4]
-        assert lcm_lattice(I.gens) == [0b0011, 0b1001, 0b1011, 0b1100, 0b1101, 0b1111]
+        assert list(lcm_lattice(I.gens)) == [0b0011, 0b1001, 0b1011, 0b1100, 0b1101, 0b1111]
+        # x1x2, x1x4, x3x4: [4] minus 3 holds the first two, [4] minus 2 the last two
+        assert list(lcm_lattice(I.gens).values()) == [0b001, 0b010, 0b011, 0b100, 0b110, 0b111]
 
     def test_two_k2_joins_to_the_top(self):
         I = complementary_edge_ideal(two_k2())
-        assert lcm_lattice(I.gens) == [0b0011, 0b1100, 0b1111]
+        assert list(lcm_lattice(I.gens)) == [0b0011, 0b1100, 0b1111]
 
     def test_mixed_degrees(self):
-        assert lcm_lattice((0b001, 0b110)) == [0b001, 0b110, 0b111]
-        assert lcm_lattice(()) == []
+        assert list(lcm_lattice((0b001, 0b110))) == [0b001, 0b110, 0b111]
+        assert list(lcm_lattice(())) == []
+        assert_lattice_lists_the_generators_inside((0b001, 0b110))
+        assert_lattice_lists_the_generators_inside(())
 
     @settings(max_examples=60, deadline=None)
     @given(random_graphs_min_degree_one(4, 9))
     def test_matches_brute_closure_and_is_small(self, G):
         I = complementary_edge_ideal(G)
-        lattice = lcm_lattice(I.gens)
-        assert lattice == brute_lcm_lattice(I.gens)
+        lattice = assert_lattice_lists_the_generators_inside(I.gens)
         assert len(lattice) <= len(I.gens) + G.n + 1
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(squarefree_ideals())
+    def test_general_ideals_list_the_generators_inside(self, I):
+        assert_lattice_lists_the_generators_inside(I.gens)
 
-@st.composite
-def equigenerated_ideals(draw):
-    """1..12 distinct d-subsets of 3..8 variables, 1 <= d < n, so that
-    pairs of generators have lcms of several different degrees."""
-    n = draw(st.integers(min_value=3, max_value=8))
-    d = draw(st.integers(min_value=1, max_value=n - 1))
-    subsets = [sum(1 << v for v in c) for c in combinations(range(n), d)]
-    gens = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=12))
-    return SqfIdeal(n, minimalize_supports(gens))
+    def test_built_once_per_ideal_and_not_compared(self):
+        I = complementary_edge_ideal(path(4))
+        assert I.lattice is I.lattice
+        J = SqfIdeal(I.n, I.gens)
+        assert J == I and hash(J) == hash(I) and "lattice" not in vars(J)
 
 
 class TestLinearlyRelated:
@@ -353,6 +383,8 @@ class TestLinearlyRelated:
     def test_large_complete_graphs(self):
         K30 = complementary_edge_ideal(complete(30))
         assert is_linearly_related(K30, lcm_graph(K30))
+        K62 = complementary_edge_ideal(complete(62))
+        assert is_linearly_related(K62, lcm_graph(K62))
         two_k15 = graph(
             30,
             *combinations(range(1, 16), 2),
@@ -367,10 +399,28 @@ class TestLinearlyRelated:
         I = complementary_edge_ideal(G)
         assert is_linearly_related(I, lcm_graph(I)) == is_connected(G)
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(equigenerated_ideals())
-    def test_matches_the_per_pair_search(self, I):
-        assert is_linearly_related(I, lcm_graph(I)) == brute_is_linearly_related(I)
+    def test_matches_the_per_pair_search(self):
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(equigenerated_ideals())
+        def check(I):
+            related = is_linearly_related(I, lcm_graph(I))
+            assert related == brute_is_linearly_related(I)
+            seen.add(related)
+
+        check()
+        assert seen == {False, True}
+
+    def test_zero_ideal_rejected(self):
+        with pytest.raises(ZeroIdealError):
+            is_linearly_related(SqfIdeal(4, ()), ())
+
+    def test_mixed_degrees_rejected(self):
+        # x1x2 and x3: no lcm degree d + 1 to build the adjacency on
+        I = SqfIdeal(3, minimalize_supports([0b011, 0b100]))
+        with pytest.raises(NotEquigeneratedError):
+            is_linearly_related(I, (0, 0))
 
 
 class TestLinearQuotients:
