@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import json.encoder
 import sys
 
 from . import classify as cf
@@ -152,6 +153,44 @@ def _render_analysis_text(doc, table_text) -> str:
     return "\n".join(lines)
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _dumps(o, newline: str = "\n") -> str:
+    """The bytes of ``json.dumps(o, indent=2, sort_keys=True)``.
+
+    CPython's C encoder runs only without ``indent``, so indented output
+    would go through the pure-Python one.  Here str, exact int, bool, None,
+    list, tuple and str-keyed dict are laid out directly, with strings
+    escaped by the C escaper ``json`` uses under ``ensure_ascii``; each
+    container joins its items' texts.  Anything else (floats, other keys,
+    int subclasses) is left to ``json.dumps``, re-indented to its depth.
+    """
+    kind = type(o)
+    if kind is str:
+        return _escape(o)
+    if kind is int:
+        return int.__repr__(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    inner = newline + "  "
+    if kind is list or kind is tuple:
+        if not o:
+            return "[]"
+        items = [_dumps(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict and all(type(k) is str for k in o):
+        if not o:
+            return "{}"
+        items = [_escape(k) + ": " + _dumps(o[k], inner) for k in sorted(o)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(o, indent=2, sort_keys=True).replace("\n", newline)
+
+
 def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w") as fh:
@@ -169,7 +208,7 @@ def _cmd_analyze(args) -> int:
     record = cf.analyze_graph(G, _field_from_flag(args.field), args.mode)
     doc = build_analysis_document(record, args.cross_check)
     if args.as_json:
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
+        _emit(args, _dumps(doc))
     else:
         _emit(args, _render_analysis_text(doc, record.table.render_text()))
     ok = record.consistency.all_match() and doc.get("oracle_matches", True)
@@ -186,7 +225,7 @@ def _cmd_betti(args) -> int:
     payload = {"graph6": emit_graph(G), "betti": table.to_json_dict()}
     matches = _cross_check(payload, I, table) if args.cross_check else True
     if args.as_json:
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True))
+        _emit(args, _dumps(payload))
     else:
         text = table.render_text()
         if args.cross_check:
@@ -200,7 +239,7 @@ def _cmd_dual(args) -> int:
     dual = idl.alexander_dual(idl.complementary_edge_ideal(G))
     payload = {"graph6": emit_graph(G), **_dual_block(dual)}
     if args.as_json:
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True))
+        _emit(args, _dumps(payload))
     else:
         _emit(
             args,
@@ -255,7 +294,7 @@ def _cmd_sweep(args) -> int:
         workers=args.workers,
         progress=lambda line: print(line, file=sys.stderr),
     )
-    _emit(args, json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+    _emit(args, _dumps(report.to_json_dict()))
     print(
         f"{report.graph_count} graphs, {report.mismatch_count} mismatches, "
         f"{report.wall_time_s:.1f}s",

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: formats, exit codes, round trips."""
 
 import dataclasses
+import enum
 import hashlib
 import inspect
 import io
@@ -13,12 +14,12 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import compedge
 from compedge import homology
-from compedge.cli import build_parser, run
+from compedge.cli import _dumps, build_parser, run
 from compedge.graphs import parse_graph
 from compedge.ideals import MonomialOrderCert, complementary_edge_ideal
 from helpers import complete, edge_list_text, mask_of, two_tree
@@ -429,6 +430,103 @@ def test_output_bytes_are_pinned(capsys, argv, digest):
     assert run(argv) == 0
     out, _ = capture(capsys)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the indented routes the digests above leave out: the oracle
+# fields over GF(3), a mismatched claim, betti without the oracle, and the
+# sweep reports written with --out (the paper-literal one holds mismatches)
+PINNED_INDENTED_OUTPUTS = {
+    ("analyze", "ExCW", "--json", "--cross-check", "--field", "3"):
+        (0, "a271819c07839438351cade9e0e9ad2bf62bac15ea689acb86e2c7217340f48e"),
+    ("analyze", "Dhc", "--json", "--cross-check", "--field", "3"):
+        (0, "e02bad1e9c6432b7977de1b12a62c39654fcb847a8ccd4340a3b17cf83716e4f"),
+    ("analyze", "C~", "--json", "--mode", "paper-literal"):
+        (3, "17d18293f4d687ddb3b9d9e1fe5861dfc98702ff89fbe2a6f18154530e41dadb"),
+    ("betti", "ExCW", "--json"):
+        (0, "5ba3b7eceb6a1716d3962716ed30f0bef60ad78d78cfa76f7f398f498a9e11e7"),
+    ("betti", "Eh?G", "--json"):
+        (0, "8bf44b7f2bff83a54ba64b025c2993bfc71424e2efabbc9824c45564ced355fc"),
+}
+PINNED_SWEEP_FILES = {
+    "corrected":
+        (0, "b261063830f149c05128a8ed9f0a7c5bc50c9d6bcffa12133fbc73b6886f645a"),
+    "paper-literal":
+        (3, "a0ad4cd53c9e61c671effe975bec7718c1acadc14ce7f6da85c13e32fbcf7607"),
+}
+
+
+@pytest.mark.parametrize("argv,expected", PINNED_INDENTED_OUTPUTS.items())
+def test_indented_output_bytes_are_pinned(capsys, argv, expected):
+    code = run(list(argv))
+    out, _ = capture(capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == expected
+
+
+@pytest.mark.parametrize("mode,expected", PINNED_SWEEP_FILES.items())
+def test_sweep_report_file_bytes_are_pinned(capsys, tmp_path, mode, expected):
+    out_file = tmp_path / "report.json"
+    code = run(["sweep", "--n", "4..5", "--mode", mode, "--out", str(out_file)])
+    assert (code, hashlib.sha256(out_file.read_bytes()).hexdigest()) == expected
+
+
+class _Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 1 << 70
+
+
+_STRINGS = st.text() | st.sampled_from(
+    ["", '"', "\\", '\\"\n\t\r\x00\x1f\x7f', "\u00e9", "\u2028", "\U0001f600"]
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(1 << 80), max_value=1 << 80)
+    | _STRINGS
+)
+# values json.dumps must lay out itself: floats (nan and inf included),
+# keys that are not str, and an int subclass
+_FALLBACK = st.floats() | st.sampled_from(_Level)
+_LEAVES = _SCALARS | _FALLBACK
+_NON_STR_KEYS = (
+    st.integers() | st.sampled_from(_Level), st.booleans(), st.none()
+)
+
+
+def _containers(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_STRINGS, children, max_size=4)
+        | st.one_of(
+            [st.dictionaries(keys, children, max_size=3) for keys in _NON_STR_KEYS]
+        )
+    )
+
+
+@st.composite
+def _documents(draw):
+    """A recursive document, wrapped in four more containers."""
+    doc = draw(st.recursive(_LEAVES, _containers, max_leaves=12))
+    for _ in range(4):
+        kind = draw(st.sampled_from([list, tuple, dict]))
+        siblings = draw(st.lists(_LEAVES, max_size=2))
+        if kind is dict:
+            keys = draw(st.lists(_STRINGS, min_size=len(siblings) + 1, unique=True))
+            doc = dict(zip(keys, [doc, *siblings]))
+        else:
+            doc = kind([*siblings, doc])
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=_documents())
+@example(doc=[[], (), {}, [[()]], {"": {}}])
+@example(doc={"a": {"b": [{"c": {1: [1.5, float("nan")], 2: {}}}]}})
+@example(doc={"x": [{True: [float("inf")], False: None}, {None: -0.0}]})
+@example(doc=(_Level.HIGH, {"k": [_Level.LOW, -(1 << 65)]}))
+def test_dumps_writes_the_bytes_of_indented_json_dumps(doc):
+    assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 class TestSharedParser:
