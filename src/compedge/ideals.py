@@ -118,10 +118,18 @@ def minimal_transversals(supports) -> list[int]:
 
     Berge's algorithm: start from the empty set and take the supports one
     at a time.  For a support s, the sets that already hit s stay; every
-    other set t is extended by each vertex of s, and an extension is
+    other set t is extended by each vertex v of s, and an extension is
     dropped only when it contains a set that already hit s.  No two
     extensions contain each other: t | v inside t' | v' forces v == v'
     (t' misses s), then t inside t', so t == t' in the antichain.
+
+    Only the hit sets that meet s in v alone can lie inside t | v: t
+    misses s, so t | v meets s in v only.  For such a set h, h lies
+    inside t | v exactly when h minus v lies inside t.  So each hit set
+    meeting s in one vertex is filed under that vertex with the vertex
+    removed, the others are never visited, and t | v is kept unless a
+    set filed under v lies inside t.  The test is the containment test
+    itself, restricted to the sets it can fail on, so it is exact.
 
     The supports go smallest first.  A support multiplies each set that
     misses it by its size, and small supports leave few sets missing the
@@ -132,9 +140,27 @@ def minimal_transversals(supports) -> list[int]:
     """
     found = [0]
     for s in sorted(supports, key=int.bit_count):
-        hit = [t for t in found if t & s]
-        extended = [t | 1 << v for t in found if not t & s for v in iter_bits(s)]
-        found = hit + [e for e in extended if not any(h & ~e == 0 for h in hit)]
+        kept, miss = [], []
+        for t in found:
+            (kept if t & s else miss).append(t)
+        if not miss:
+            continue
+        filed = {}
+        for h in kept:
+            x = h & s
+            if not x & (x - 1):
+                filed.setdefault(x, []).append(h ^ x)
+        for t in miss:
+            rest = s
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                for c in filed.get(bit, ()):
+                    if not c & ~t:
+                        break
+                else:
+                    kept.append(t | bit)
+        found = kept
     return sorted(found, key=support_sort_key)
 
 

@@ -16,6 +16,10 @@ nonfaces and is the reference for the library's triangle test.
 ``minimalize_supports`` builds ideals from arbitrary families, and
 ``reference_cert_is_valid`` checks a linear-quotient certificate by
 minimalizing every colon, independently of the library's checker.
+``scan_minimal_transversals`` is Berge's update with every extension
+checked against every set that already hit the support; it is the
+oracle for the library's narrower check past the reach of the 2^n
+filter ``brute_minimal_transversals``.
 """
 
 from __future__ import annotations
@@ -96,6 +100,14 @@ def two_tree(n, seed=1):
         a, b = rng.choice(edges)
         edges += [(a, v), (b, v)]
     return graph(n, *edges)
+
+
+def random_with_path(n, p=0.4, seed=1):
+    """G(n, p) drawn pair by pair in lexicographic order with
+    ``random.Random(seed)``, plus the path 1-2-...-n."""
+    rng = random.Random(seed)
+    edges = {e for e in combinations(range(1, n + 1), 2) if rng.random() < p}
+    return graph(n, *sorted(edges | {(i, i + 1) for i in range(1, n)}))
 
 
 def edge_list_text(G):
@@ -270,6 +282,18 @@ def brute_minimal_transversals(supports, n) -> list[int]:
         m for m in hitting if not any(h != m and h & ~m == 0 for h in hitting)
     ]
     return sorted(minimal, key=brute_canonical_key)
+
+
+def scan_minimal_transversals(supports) -> list[int]:
+    """Berge's algorithm with a list scan: every extension is checked
+    against every set that already hit the support.  The oracle at sizes
+    where the 2^n filter above cannot run."""
+    found = [0]
+    for s in sorted(supports, key=int.bit_count):
+        hit = [t for t in found if t & s]
+        extended = [t | 1 << v for t in found if not t & s for v in iter_bits(s)]
+        found = hit + [e for e in extended if not any(h & ~e == 0 for h in hit)]
+    return sorted(found, key=support_sort_key)
 
 
 def brute_canonical_key(mask):

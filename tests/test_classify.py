@@ -232,6 +232,13 @@ class TestAnalyzeRunsNoHochsterSum:
         assert record.consistency.all_match(), record.consistency.mismatches
         assert len(record.dual.gens) == 1827  # the nonedges; no triangles
 
+    def test_complete_graph_at_forty(self):
+        # the dual's generators are the triangles, and the second dual needs
+        # their transversals, the 38-sets
+        record = analyze_graph(complete(40))
+        assert record.consistency.all_match(), record.consistency.mismatches
+        assert len(record.dual.gens) == 9880  # C(40, 3) triangles
+
 
 def canonical_digest(report) -> str:
     text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)

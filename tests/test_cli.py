@@ -447,6 +447,23 @@ PINNED_INDENTED_OUTPUTS = {
     ("betti", "Eh?G", "--json"):
         (0, "8bf44b7f2bff83a54ba64b025c2993bfc71424e2efabbc9824c45564ced355fc"),
 }
+# sha256 of stdout on 62- and 30-vertex inputs, whose minimal transversals
+# Berge's update builds from thousands of intermediate sets: the 62-cycle
+# with the chords (1, 31) and (2, 34), and K30
+K30_GRAPH6 = "]" + "~" * 72 + "w"
+CYCLE62_GRAPH6 = (
+    "}hCGGC@?G?_@?@??_?G?@??C??G??G??C??@???G???_??@???@????_???G???@????C????K????"
+    "G????C????@O????G?????_????@?????@??????_?????G?????@??????C??????G??????G????"
+    "??C??????@???????G???????_??????@???????@????????_???????G???????@????????C???"
+    "?????G????????G????????C????????@?????????G?????????_????????@?????????@_?????"
+    "????_"
+)
+PINNED_LARGE_OUTPUTS = {
+    ("dual", K30_GRAPH6, "--json"):
+        "eded97bbd6dc7b78c376a83c76e207346a35d0432ff3e3a6fb78d6373e5506c2",
+    ("analyze", CYCLE62_GRAPH6, "--json"):
+        "ae373b8acefde94fd4ff6ca3fd0d52248484bf6006fb47a52c74fcbd5f0671c7",
+}
 PINNED_SWEEP_FILES = {
     "corrected":
         (0, "b261063830f149c05128a8ed9f0a7c5bc50c9d6bcffa12133fbc73b6886f645a"),
@@ -460,6 +477,15 @@ def test_indented_output_bytes_are_pinned(capsys, argv, expected):
     code = run(list(argv))
     out, _ = capture(capsys)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == expected
+
+
+@pytest.mark.parametrize(
+    "argv,digest", PINNED_LARGE_OUTPUTS.items(), ids=["dual-K30", "analyze-cycle62"]
+)
+def test_large_output_bytes_are_pinned(capsys, argv, digest):
+    assert run(list(argv)) == 0
+    out, _ = capture(capsys)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("mode,expected", PINNED_SWEEP_FILES.items())

@@ -1,6 +1,7 @@
 """Ideal construction, minimal primes, duality, and quotient orders."""
 
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -45,8 +46,11 @@ from helpers import (
     path,
     paw,
     p3_union_k2,
+    random_with_path,
     reference_cert_is_valid,
+    scan_minimal_transversals,
     two_k2,
+    two_tree,
 )
 
 
@@ -115,6 +119,18 @@ def families(draw):
     return n, draw(st.lists(masks, max_size=7))
 
 
+@st.composite
+def small_support_families(draw):
+    """Up to 25 distinct supports of 1-3 vertices over at most 10 vertices:
+    many small supports leave transversals of size n - 2 (about one
+    derandomized draw in six) beside smaller ones."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    vertices = st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=3)
+    masks = vertices.map(lambda vs: sum(1 << v for v in vs))
+    k = draw(st.integers(min_value=0, max_value=min(25, n + comb(n, 2) + comb(n, 3))))
+    return n, draw(st.lists(masks, min_size=k, max_size=k, unique=True))
+
+
 class TestMinimalPrimes:
     def test_two_k2(self):
         I = complementary_edge_ideal(two_k2())
@@ -180,6 +196,34 @@ class TestMinimalPrimes:
     def test_transversals_of_general_families(self, family):
         n, supports = family
         assert minimal_transversals(supports) == brute_minimal_transversals(supports, n)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(small_support_families())
+    # a repeated support, which no set misses the second time
+    @example((3, [0b011, 0b011]))
+    # {2, 3, 5} after {1, 2} and {3, 4}: {1, 3} is filed under 3 and {2, 4}
+    # under 2, so {1, 4} extends only by 5
+    @example((5, [0b00011, 0b01100, 0b10110]))
+    # the empty support after nonempty ones
+    @example((3, [0b011, 0b100, 0b0]))
+    def test_transversals_of_small_support_families(self, family):
+        n, supports = family
+        assert minimal_transversals(supports) == brute_minimal_transversals(supports, n)
+
+    @pytest.mark.parametrize("n", range(12, 21))
+    def test_transversals_of_complete_graphs_match_the_scan(self, n):
+        gens = complementary_edge_ideal(complete(n)).gens
+        dual = minimal_transversals(gens)
+        assert dual == scan_minimal_transversals(gens)
+        assert len(dual) == comb(n, 3)  # the triangles
+        assert minimal_transversals(dual) == scan_minimal_transversals(dual)
+
+    @pytest.mark.parametrize("G", [random_with_path(30), two_tree(30)], ids=["random", "two_tree"])
+    def test_transversals_at_thirty_match_the_scan(self, G):
+        gens = complementary_edge_ideal(G).gens
+        dual = minimal_transversals(gens)
+        assert dual == scan_minimal_transversals(gens)
+        assert minimal_transversals(dual) == scan_minimal_transversals(dual)
 
 
 class TestHeightUnmixed:
