@@ -1,12 +1,27 @@
 """Reduced simplicial homology dimensions over exact coefficient fields.
 
-Dimensions come from exact ranks of the boundary maps of the augmented
-chain complex, given as sparse rows {column: entry}: a row per face, a
-column per face one dimension lower, both in sorted order.  One loop
-reduces the rows over every field, GF(2) included, against pivots keyed by
-their leading (largest) column and scaled to lead 1, so that exact
-fractions appear only for a rational lead other than +-1.  No floating
-point appears.
+Dimensions come from exact ranks of boundary maps given as sparse rows
+{column: entry}: a row per face, a column per face one dimension lower,
+both in sorted order.  One loop reduces the rows over every field, GF(2)
+included, against pivots keyed by their leading (largest) column and
+scaled to lead 1, so that exact fractions appear only for a rational lead
+other than +-1.  No floating point appears.
+
+The maps are those of the complex relative to the star of one vertex a,
+not of the whole complex.  The star, the faces sigma with sigma | a a
+face, is a cone and has no reduced homology, so the exact sequence of the
+pair gives H~_k(Delta) = H_k(Delta, st a) for every k (Munkres, "Elements
+of Algebraic Topology", 1984: relative homology, cones, the exact
+sequence of a pair).  The relative chains C(Delta)/C(st a) have the faces
+outside the star as a basis, those sigma with sigma | a no face, and a
+face's boundary is its boundary in Delta without the terms inside the
+star.  The empty face lies in the star, so there is no augmentation, and
+a face whose boundary lies wholly inside the star gives no row.  The apex a is the highest vertex
+held by the most facets; any vertex gives the same dimensions.  On the
+Stanley-Reisner complex of the 9-cycle plus two chords, where every set
+of at most six vertices is a face, 13 of the 481 faces of dimension >= 1
+lie outside the apex's star and 5 rows reach the kernel (246 of the 481
+on the whole complex).
 
 The maps are reduced top down with clearing (Chen and Kerber, "Persistent
 homology computation with a twist", 2011; Bauer, Kerber and Reininghaus,
@@ -15,18 +30,18 @@ the boundary of a chain; when it leads with the k-face i, the boundary of
 that boundary, which is 0, writes row i of the map on k-faces through its
 earlier rows, so row i is skipped.  By induction on i the kept rows span
 the row space over every field: rank and leading columns are those of a
-full reduction.  On the Stanley-Reisner complex of the 9-cycle plus two
-chords, 246 of its 481 rows reach the kernel.
+full reduction.
 
-Faces are generated level by level, each once and each level sorted
-(``_faces_by_dim``).  Results are memoized per (facet family,
-characteristic) in a least-recently-used memo of 65,536 entries, whose
-hits and misses ``_dims.cache_info()`` counts.  Per pass of the perfbench
-workloads (seed 1), the sweep over 5-vertex graphs makes 1,524 calls on
-150 distinct keys and GF(2) ``analyze`` 271 on 98.  Rational ``betti
---cross-check`` makes 402 on 109, as the Hochster oracle renames the
-vertices of each restriction (203 without), and 30 of its 178 repeats
-that are neither void nor irrelevant come from the same command.
+Faces are generated level by level, each once and each level sorted, and
+only those held by a facet that misses the apex (``_faces_outside_star``).
+Results are memoized per (facet family, characteristic) in a
+least-recently-used memo of 65,536 entries, whose hits and misses
+``_dims.cache_info()`` counts.  Per pass of the perfbench workloads (seed
+1), the sweep over 5-vertex graphs makes 1,524 calls on 150 distinct keys
+and GF(2) ``analyze`` 271 on 98.  Rational ``betti --cross-check`` makes
+402 on 109, as the Hochster oracle renames the vertices of each
+restriction (203 without), and 30 of its 178 repeats that are neither
+void nor irrelevant come from the same command.
 """
 
 from __future__ import annotations
@@ -122,31 +137,38 @@ def facet_holders(facets) -> list[int]:
     return holders
 
 
-def _faces_by_dim(facets: tuple[int, ...]) -> list[list[int]]:
-    """levels[k + 1] lists the k-face masks in increasing order (the empty
-    face is level 0).
+def _faces_outside_star(facets: tuple[int, ...]) -> list[list[int]]:
+    """levels[k] lists, in increasing order, the faces with k vertices
+    outside the star of the apex, the highest vertex held by the most
+    facets: the faces sigma such that no facet holding sigma holds the
+    apex.  levels[0] is empty, as the empty face lies in every star.
 
     Each face is built once, from the face without its top vertex v, and
-    carries the mask of the facets holding it: the set is a face iff one
-    of those also holds v.  With v outermost, the faces below v are a
-    prefix of the sorted level and give faces between 2^v and 2^(v+1), so
-    each level comes out sorted.
+    carries the mask of the facets holding it.  A face outside the star
+    lies in a facet that misses the apex, and so do its subsets, so only
+    sets held by such a facet are built: those where one of the facets
+    holding the face without v misses the apex and holds v.  With v
+    outermost, the faces below v are a prefix of the sorted level and give
+    faces between 2^v and 2^(v+1), so each level comes out sorted.
     """
-    vertices = [(1 << v, h) for v, h in enumerate(facet_holders(facets)) if h]
-    levels = [[0]]
-    masks = [bit for bit, _ in vertices]
-    holds = [h for _, h in vertices]
+    holders = facet_holders(facets)
+    star = max(reversed(holders), key=int.bit_count)
+    missing = ~star  # the facets that miss the apex
+    # each vertex with the facets holding it, and those of them missing the apex
+    vertices = [(1 << v, h, h & missing) for v, h in enumerate(holders) if h & missing]
+    levels = [[]]
+    masks = [bit for bit, _, _ in vertices]
+    holds = [h for _, h, _ in vertices]
     while masks:
-        levels.append(masks)
+        levels.append([m for m, h in zip(masks, holds) if not h & star])
         grown, grown_holds = [], []
-        for bit, holders in vertices:
+        for bit, held, held_missing in vertices:
             for m, h in zip(masks, holds):
                 if m >= bit:
                     break
-                h &= holders
-                if h:
+                if h & held_missing:
                     grown.append(m | bit)
-                    grown_holds.append(h)
+                    grown_holds.append(h & held)
         masks, holds = grown, grown_holds
     return levels
 
@@ -169,12 +191,11 @@ def _dims(facets: tuple[int, ...], char: int) -> tuple[tuple[int, int], ...]:
 
 
 def _compute_dims(facets: tuple[int, ...], char: int) -> tuple[tuple[int, int], ...]:
-    levels = _faces_by_dim(facets)
+    levels = _faces_outside_star(facets)
     top = len(levels) - 1
-    # ranks[k] = rank of the boundary map on the faces with k vertices;
-    # the augmentation map from vertices to the empty face always has rank 1.
+    # ranks[k] = rank of the relative boundary map on the faces with k
+    # vertices; a vertex's boundary, the empty face, lies in the star
     ranks = [0] * (top + 2)
-    ranks[1] = 1
     cleared = ()  # the leading columns of the map above
     for k in range(top, 1, -1):
         lower_index = {m: i for i, m in enumerate(levels[k - 1])}
@@ -187,15 +208,18 @@ def _compute_dims(facets: tuple[int, ...], char: int) -> tuple[tuple[int, int], 
             rest = m
             while rest:
                 low = rest & -rest
-                row[lower_index[m ^ low]] = sign
+                j = lower_index.get(m ^ low)
+                if j is not None:
+                    row[j] = sign
                 sign = -sign
                 rest ^= low
-            rows.append(row)
+            if row:
+                rows.append(row)
         cleared = _pivots(rows, char)
         ranks[k] = len(cleared)
     out = []
-    for k in range(-1, top):
-        h = len(levels[k + 1]) - ranks[k + 1] - ranks[k + 2]
+    for k in range(1, top + 1):
+        h = len(levels[k]) - ranks[k] - ranks[k + 1]
         if h:
-            out.append((k, h))
+            out.append((k - 1, h))
     return tuple(out)

@@ -4,15 +4,17 @@ library's test-only routes.
 The brute-force oracles are written from first principles (string
 bit-twiddling, subset filters, cofactor determinants) so that agreement
 with the library is evidence, not circularity.  The routes under "library
-routes" are not: ``from_facets``, ``induced_subcomplex``, ``matrix_rank``,
-``boundary_matrix`` and ``is_well_ordered_facet_cover`` call library
-internals (the maximal-set reduction, the rank kernel, the face levels,
-the cover check) and serve as fixtures and second constructions, not as
-independent checks of those internals.  Likewise
-``general_is_componentwise_linear``, the decision for any squarefree
-ideal, runs the library's witness, greedy order and Hochster sum; its
-dimension step, ``has_face_of_size``, grows faces from the minimal
-nonfaces and is the reference for the library's triangle test.
+routes" are not: ``from_facets``, ``induced_subcomplex``, ``matrix_rank``
+and ``is_well_ordered_facet_cover`` call library internals (the
+maximal-set reduction, the rank kernel, the cover check) and serve as
+fixtures and second constructions, not as independent checks of those
+internals.  Likewise ``general_is_componentwise_linear``, the decision
+for any squarefree ideal, runs the library's witness, greedy order and
+Hochster sum; its dimension step, ``has_face_of_size``, grows faces from
+the minimal nonfaces and is the reference for the library's triangle
+test.  ``boundary_matrix`` filters its faces from ``faces_of``, so the
+whole augmented boundary matrices it builds share no face code with the
+homology engine; only their ranks go through the library's kernel.
 ``minimalize_supports`` builds ideals from arbitrary families, and
 ``reference_cert_is_valid`` checks a linear-quotient certificate by
 minimalizing every colon, independently of the library's checker.
@@ -39,7 +41,7 @@ from compedge.classify import (
 )
 from compedge.complexes import SimplicialComplex, _check_cover_seq, maximal_supports
 from compedge.graphs import Graph, connected_components, iter_bits, vertices_of
-from compedge.homology import GF2, FieldSpec, _faces_by_dim, _pivots
+from compedge.homology import GF2, FieldSpec, _pivots
 from compedge.ideals import SqfIdeal, support_sort_key
 
 # ---------------------------------------------------------------- graphs
@@ -344,6 +346,16 @@ def rp2_6():
     return from_facets(6, [sum(1 << (int(v) - 1) for v in f) for f in facets])
 
 
+def klein_bottle_9():
+    """The Klein bottle on the 3-by-3 grid, one side glued with a twist:
+    H~_1 = GF(2)^2 and H~_2 = GF(2) over GF(2), H~_1 of dimension 1 over
+    every other field.  It is not orientable, so the signs of the boundary
+    maps decide these numbers."""
+    facets = ["145", "125", "256", "236", "346", "134", "478", "458", "589",
+              "569", "679", "467", "137", "378", "238", "289", "129", "179"]
+    return from_facets(9, [sum(1 << (int(v) - 1) for v in f) for f in facets])
+
+
 def brute_sr_faces(gen_supports, n) -> set[int]:
     """Faces of the complex with the given minimal non-faces: all subsets
     containing no generator support."""
@@ -365,6 +377,38 @@ def faces_of(facets) -> set[int]:
                 break
             s = (s - 1) & f
     return faces
+
+
+def boundary_matrix(cx: SimplicialComplex, k: int) -> list[list[int]]:
+    """Integer matrix of the boundary map from k-faces to (k-1)-faces of
+    the augmented chain complex, its faces filtered from ``faces_of``.
+
+    Faces index rows and columns in lexicographic order of their sorted
+    vertex tuples; the coefficient of the face omitting the t-th smallest
+    vertex is (-1)^t.  For k = -1 the target chain group is zero and the
+    matrix has no rows.
+    """
+    if cx.is_void:
+        raise ValueError("void complex has no chain groups")
+    dim = cx.dimension
+    if not -1 <= k <= dim + 1:
+        raise ValueError(f"k={k} outside -1..{dim + 1}")
+    if k == -1:
+        return []
+    faces = faces_of(cx.facets)
+
+    def level(size: int) -> list[int]:
+        return sorted((m for m in faces if m.bit_count() == size), key=vertices_of)
+
+    cols = level(k + 1)
+    index = {m: i for i, m in enumerate(level(k))}
+    matrix = [[0] * len(cols) for _ in index]
+    for c, m in enumerate(cols):
+        sign = 1
+        for v in iter_bits(m):
+            matrix[index[m ^ (1 << v)]][c] = sign
+            sign = -sign
+    return matrix
 
 
 def brute_find_well_ordered_cover(cx, k_max, cover_mask=None):
@@ -419,38 +463,6 @@ def matrix_rank(rows: list[list[int]], field: FieldSpec) -> int:
     p = field.characteristic
     sparse = ({c: x for c, x in enumerate(row) if (x % p if p else x)} for row in rows)
     return len(_pivots([row for row in sparse if row], p))
-
-
-def boundary_matrix(cx: SimplicialComplex, k: int) -> list[list[int]]:
-    """Integer matrix of the boundary map from k-faces to (k-1)-faces.
-
-    Faces index rows and columns in lexicographic order of their sorted
-    vertex tuples; the coefficient of the face omitting the t-th smallest
-    vertex is (-1)^t.  For k = -1 the target chain group is zero and the
-    matrix has no rows.
-    """
-    if cx.is_void:
-        raise ValueError("void complex has no chain groups")
-    dim = cx.dimension
-    if not -1 <= k <= dim + 1:
-        raise ValueError(f"k={k} outside -1..{dim + 1}")
-    levels = _faces_by_dim(cx.facets)
-
-    def lex_sorted(level: list[int]) -> list[int]:
-        return sorted(level, key=vertices_of)
-
-    cols = lex_sorted(levels[k + 1]) if k + 1 < len(levels) else []
-    if k == -1:
-        return []
-    rows_faces = lex_sorted(levels[k])
-    index = {m: i for i, m in enumerate(rows_faces)}
-    matrix = [[0] * len(cols) for _ in rows_faces]
-    for c, m in enumerate(cols):
-        sign = 1
-        for v in iter_bits(m):
-            matrix[index[m ^ (1 << v)]][c] = sign
-            sign = -sign
-    return matrix
 
 
 # ------------------------------------------------------------ linear algebra

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from compedge import homology
 from compedge.betti import _relabeled
 from compedge.complexes import gamma_complex, stanley_reisner_complex
+from compedge.graphs import iter_bits
 from compedge.homology import GF2, GF3, QQ, FieldSpec, homology_dims_of_facets
 from compedge.ideals import complementary_edge_ideal
 from helpers import (
@@ -20,6 +21,7 @@ from helpers import (
     faces_of,
     from_facets,
     graph,
+    klein_bottle_9,
     mask_of,
     matrix_rank,
     rp2_6,
@@ -203,9 +205,12 @@ class TestReducedHomology:
             assert dims(circle, field) == ((1, 1),)
 
     def test_two_disjoint_simplices(self):
+        # no vertex lies in two facets, so the apex lies in a single facet
         pair = cx(4, (1, 2), (3, 4))
+        triple = cx(6, (1, 2), (3, 4, 5), (6,))
         for field in FIELDS:
             assert dims(pair, field) == ((0, 1),)
+            assert dims(triple, field) == ((0, 2),)
 
     def test_full_simplex_contractible(self):
         simplex = cx(4, (1, 2, 3, 4))
@@ -222,16 +227,23 @@ class TestReducedHomology:
         assert dims(void, GF2) == ()
 
     def test_sphere(self):
-        # boundary of the 3-simplex
-        sphere = cx(4, *combinations(range(1, 5), 3))
-        for field in FIELDS:
-            assert dims(sphere, field) == ((2, 1),)
+        # boundaries of simplices, the 3-simplex's among them
+        for n in range(2, 8):
+            sphere = cx(n, *combinations(range(1, n + 1), n - 1))
+            for field in FIELDS:
+                assert dims(sphere, field) == ((n - 2, 1),)
 
     def test_projective_plane_torsion(self):
         rp2 = rp2_6()
         assert dims(rp2, GF2) == ((1, 1), (2, 1))
         for field in (GF3, FieldSpec(5), QQ):
             assert dims(rp2, field) == ()
+
+    def test_klein_bottle_torsion(self):
+        klein = klein_bottle_9()
+        assert dims(klein, GF2) == ((1, 2), (2, 1))
+        for field in (GF3, FieldSpec(5), QQ):
+            assert dims(klein, field) == ((1, 1),)
 
     @settings(max_examples=80, deadline=None)
     @given(small_complexes)
@@ -267,6 +279,7 @@ class TestReducedHomology:
 
     @settings(max_examples=60, deadline=None)
     @given(small_complexes, st.integers(min_value=1, max_value=5))
+    @example(rp2_6(), 7)
     def test_cones_are_acyclic(self, complex_, apex):
         if complex_.is_void:
             return
@@ -290,6 +303,40 @@ def full_reduction_dims(complex_, field):
     return tuple((k, h) for k, h in dims.items() if h)
 
 
+def outside_star(facets) -> list[list[int]]:
+    """By size, the faces outside the star of the highest vertex held by the
+    most facets: faces that miss the vertex and make no face with it.  A
+    filter of ``faces_of``, each level sorted."""
+    held = [sum(f >> v & 1 for f in facets) for v in range(max(facets).bit_length())]
+    apex = max(v for v, c in enumerate(held) if c == max(held))
+    faces = faces_of(facets)
+    kept = [m for m in faces if not m >> apex & 1 and m | 1 << apex not in faces]
+    levels = [[] for _ in range(max((m.bit_count() for m in kept), default=0) + 1)]
+    for m in kept:
+        levels[m.bit_count()].append(m)
+    return [sorted(level) for level in levels]
+
+
+def leading_faces(levels, k, field):
+    """The faces with k - 1 vertices that lead a row of the row space of
+    the relative boundary map on the faces with k vertices: c leads iff the
+    columns from c on have more rank than those after c."""
+    index = {m: i for i, m in enumerate(levels[k - 1])}
+    matrix = []
+    for m in levels[k]:
+        row = [0] * len(index)
+        for t, v in enumerate(iter_bits(m)):
+            if m ^ 1 << v in index:
+                row[index[m ^ 1 << v]] = (-1) ** t
+        matrix.append(row)
+    return {
+        face
+        for c, face in enumerate(levels[k - 1])
+        if matrix_rank([row[c:] for row in matrix], field)
+        > matrix_rank([row[c + 1:] for row in matrix], field)
+    }
+
+
 class TestClearing:
     """The top-down reduction skips each row whose face led a reduced row
     of the map above it; ranks and dimensions stay those of a full
@@ -311,7 +358,7 @@ class TestClearing:
         # the Stanley-Reisner complex of the 9-cycle plus two chords: every
         # set of at most six vertices and the 25 nonedge complements
         G = graph(9, *[(i, i + 1) for i in range(1, 9)], (1, 9), (1, 4), (2, 7))
-        complex_ = stanley_reisner_complex(complementary_edge_ideal(G))
+        sr = stanley_reisner_complex(complementary_edge_ideal(G))
         handed = []
         pivots = homology._pivots
 
@@ -321,17 +368,92 @@ class TestClearing:
 
         monkeypatch.setattr(homology, "_pivots", counting)
         homology._dims.cache_clear()
-        faces = sum(1 for m in faces_of(complex_.facets) if m.bit_count() >= 2)
-        for field in (GF2, GF3, QQ):
+        # rows handed to the kernel over GF(2), GF(3) and QQ.  13 faces of
+        # dimension >= 1 lie outside the star of the 9-cycle complex's apex,
+        # vertex 7: the 5 of dimension 6 reach the kernel, and the 8 of
+        # dimension 5 have no boundary outside the star, 5 of them also
+        # cleared.  Of the Klein bottle's 15 edges and 12 triangles outside
+        # the star, the triangles and 11 edges have a boundary there, and 8
+        # of those edges are cleared over GF(2), 9 over the other fields.
+        for complex_, counts in ((sr, (5, 5, 5)), (klein_bottle_9(), (15, 14, 14))):
+            levels = outside_star(complex_.facets)
+            for field, count in zip((GF2, GF3, QQ), counts):
+                expected = full_reduction_dims(complex_, field)
+                # a face reaches the kernel iff its boundary outside the
+                # star is not zero and it leads no reduced row of the map above
+                reaching = 0
+                for k in range(2, len(levels)):
+                    lower = set(levels[k - 1])
+                    above = k + 1 < len(levels)
+                    cleared = leading_faces(levels, k + 1, field) if above else set()
+                    reaching += sum(
+                        1
+                        for m in levels[k]
+                        if m not in cleared and any(m ^ 1 << v in lower for v in iter_bits(m))
+                    )
+                handed.clear()
+                assert dims(complex_, field) == expected
+                assert sum(handed) == reaching == count
+
+
+class TestStarExcision:
+    """The engine reduces the faces outside one vertex's star, a cone, and
+    gives the reduced homology of the whole complex for every choice of
+    that vertex."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=1, max_value=10).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.integers(min_value=1, max_value=(1 << n) - 1), min_size=1, max_size=8
+                ),
+                st.permutations(range(n)),
+            ).map(lambda t: (n, *t))
+        )
+    )
+    @example((6, list(rp2_6().facets), [5, 4, 3, 2, 1, 0]))
+    @example((9, list(klein_bottle_9().facets), [8, 0, 7, 1, 6, 2, 5, 3, 4]))
+    def test_matches_full_reduction_under_any_vertex_names(self, case):
+        n, picks, order = case
+        complex_ = from_facets(n, picks)
+        renamed = from_facets(
+            n, [sum(1 << order[v] for v in iter_bits(f)) for f in complex_.facets]
+        )
+        for field in FIELDS:
             expected = full_reduction_dims(complex_, field)
-            cleared = sum(
-                matrix_rank(boundary_matrix(complex_, k), field)
-                for k in range(2, complex_.dimension + 1)
-            )
-            handed.clear()
             assert dims(complex_, field) == expected
-            # 481 rows of faces of dimension >= 1, 235 of them cleared
-            assert sum(handed) == faces - cleared == 246
+            assert dims(renamed, field) == expected
+
+    def test_suspension(self):
+        # two cone points over RP^2 shift its homology up one degree
+        base = rp2_6().facets
+        suspended = from_facets(8, [f | 1 << p for f in base for p in (6, 7)])
+        assert dims(suspended, GF2) == ((2, 1), (3, 1))
+        for field in (GF3, FieldSpec(5), QQ):
+            assert dims(suspended, field) == ()
+
+    def test_no_empty_row_reaches_the_kernel(self, monkeypatch):
+        handed = []
+        pivots = homology._pivots
+
+        def recording(rows, p):
+            handed.extend(map(len, rows))
+            return pivots(rows, p)
+
+        monkeypatch.setattr(homology, "_pivots", recording)
+        homology._dims.cache_clear()
+        G = graph(9, *[(i, i + 1) for i in range(1, 9)], (1, 9), (1, 4), (2, 7))
+        complexes = [
+            stanley_reisner_complex(complementary_edge_ideal(G)),
+            rp2_6(),
+            cx(6, (1, 2), (3, 4, 5), (6,)),
+            from_facets(5, [31 ^ 1 << v for v in range(5)]),
+        ]
+        for complex_ in complexes:
+            for field in FIELDS:
+                dims(complex_, field)
+        assert handed and all(handed)
 
 
 class TestMemoBound:
@@ -357,8 +479,8 @@ class TestMemoBound:
 
 
 class TestFaceLevels:
-    """Each level of the face generator lists the faces of one size, each
-    once, in increasing order."""
+    """Each level of the face generator lists the faces of one size outside
+    the apex's star, each once, in increasing order."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -366,13 +488,11 @@ class TestFaceLevels:
             lambda n, picks: from_facets(n, [p % (1 << n) for p in picks]).facets,
             st.integers(min_value=1, max_value=10),
             st.lists(st.integers(min_value=1), min_size=1, max_size=8),
-        )
+        # the irrelevant complex has no vertex to be the apex
+        ).filter(lambda facets: facets != (0,))
     )
     def test_levels_are_the_faces_by_size_in_order(self, facets):
-        by_size = [[] for _ in range(max(f.bit_count() for f in facets) + 1)]
-        for m in faces_of(facets):
-            by_size[m.bit_count()].append(m)
-        assert homology._faces_by_dim(facets) == [sorted(level) for level in by_size]
+        assert homology._faces_outside_star(facets) == outside_star(facets)
 
 
 class TestRelabeling:
