@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .complexes import maximal_supports, stanley_reisner_complex
-from .graphs import elimination_order, iter_bits, iter_triangles
-from .homology import FieldSpec, facet_holders, homology_dims_of_facets
+from .graphs import elimination_order, facet_holders, iter_bits, iter_triangles
+from .homology import FieldSpec, homology_dims_of_facets
 from .ideals import (
     IdealError,
     MonomialOrderCert,

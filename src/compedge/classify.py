@@ -37,8 +37,8 @@ from .betti import (
     ring_properties,
 )
 from .complexes import gamma_complex, stanley_reisner_ideal
-from .graphs import Graph, emit_graph, iter_bits, vertices_of
-from .homology import GF2, GF3, QQ, FieldSpec, facet_holders
+from .graphs import Graph, emit_graph, facet_holders, iter_bits, vertices_of
+from .homology import GF2, GF3, QQ, FieldSpec
 
 MODE_CORRECTED = "corrected"
 MODE_PAPER_LITERAL = "paper-literal"

@@ -64,6 +64,17 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+def facet_holders(facets) -> list[int]:
+    """holders[v] is the mask of the indices of the facets holding vertex v."""
+    holders = [0] * max(facets, default=0).bit_length()
+    for i, f in enumerate(facets):
+        while f:
+            low = f & -f
+            holders[low.bit_length() - 1] |= 1 << i
+            f ^= low
+    return holders
+
+
 @dataclass(frozen=True, slots=True)
 class Graph:
     """Immutable simple graph; ``adj[i]`` is the neighbor mask of vertex i+1.

@@ -25,11 +25,11 @@ from functools import cached_property
 from .graphs import (
     Graph,
     components_within,
+    facet_holders,
     iter_bits,
     validate_standing_assumptions,
     vertices_of,
 )
-from .homology import facet_holders
 
 
 class IdealError(Exception):

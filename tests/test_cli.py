@@ -199,9 +199,9 @@ class TestBetti:
         assert err.startswith("error: ") and "n <= 14" in err and "n = 15" in err
 
     def test_rational_oracle_at_the_limit(self, capsys, monkeypatch):
-        # the bound separates the reduction of the faces outside one
-        # vertex's star with clearing (about 0.04 s on a 2-core machine)
-        # from one that pivots every row of the whole complex (11-13 s there)
+        # the bound separates the full reduction of the faces outside one
+        # vertex's star (about 0.04 s on a 2-core machine) from one that
+        # pivots every row of the whole complex (11-13 s there)
         homology._dims.cache_clear()
         monkeypatch.setattr("sys.stdin", io.StringIO(cycle_with_two_chords(14)))
         start = time.perf_counter()

@@ -293,7 +293,7 @@ class TestReducedHomology:
 
 def full_reduction_dims(complex_, field):
     """Nonzero reduced homology from the ranks of whole boundary matrices,
-    every row reduced and none cleared."""
+    every row reduced."""
     counts = {}
     for m in faces_of(complex_.facets):
         counts[m.bit_count() - 1] = counts.get(m.bit_count() - 1, 0) + 1
@@ -317,30 +317,10 @@ def outside_star(facets) -> list[list[int]]:
     return [sorted(level) for level in levels]
 
 
-def leading_faces(levels, k, field):
-    """The faces with k - 1 vertices that lead a row of the row space of
-    the relative boundary map on the faces with k vertices: c leads iff the
-    columns from c on have more rank than those after c."""
-    index = {m: i for i, m in enumerate(levels[k - 1])}
-    matrix = []
-    for m in levels[k]:
-        row = [0] * len(index)
-        for t, v in enumerate(iter_bits(m)):
-            if m ^ 1 << v in index:
-                row[index[m ^ 1 << v]] = (-1) ** t
-        matrix.append(row)
-    return {
-        face
-        for c, face in enumerate(levels[k - 1])
-        if matrix_rank([row[c:] for row in matrix], field)
-        > matrix_rank([row[c + 1:] for row in matrix], field)
-    }
-
-
-class TestClearing:
-    """The top-down reduction skips each row whose face led a reduced row
-    of the map above it; ranks and dimensions stay those of a full
-    reduction."""
+class TestFullReduction:
+    """Each relative boundary map is reduced in full: ranks and dimensions
+    are those of the whole complex, and every face outside the star with a
+    nonzero boundary there hands its row to the kernel."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -354,7 +334,7 @@ class TestClearing:
         for field in (GF2, GF3, QQ):
             assert dims(complex_, field) == full_reduction_dims(complex_, field)
 
-    def test_cleared_rows_never_reach_the_kernel(self, monkeypatch):
+    def test_every_relative_row_reaches_the_kernel(self, monkeypatch):
         # the Stanley-Reisner complex of the 9-cycle plus two chords: every
         # set of at most six vertices and the 25 nonedge complements
         G = graph(9, *[(i, i + 1) for i in range(1, 9)], (1, 9), (1, 4), (2, 7))
@@ -371,26 +351,21 @@ class TestClearing:
         # rows handed to the kernel over GF(2), GF(3) and QQ.  13 faces of
         # dimension >= 1 lie outside the star of the 9-cycle complex's apex,
         # vertex 7: the 5 of dimension 6 reach the kernel, and the 8 of
-        # dimension 5 have no boundary outside the star, 5 of them also
-        # cleared.  Of the Klein bottle's 15 edges and 12 triangles outside
-        # the star, the triangles and 11 edges have a boundary there, and 8
-        # of those edges are cleared over GF(2), 9 over the other fields.
-        for complex_, counts in ((sr, (5, 5, 5)), (klein_bottle_9(), (15, 14, 14))):
+        # dimension 5 have no boundary outside the star.  Of the Klein
+        # bottle's 15 edges and 12 triangles outside the star, the triangles
+        # and 11 edges have a boundary there.
+        for complex_, count in ((sr, 5), (klein_bottle_9(), 23)):
             levels = outside_star(complex_.facets)
-            for field, count in zip((GF2, GF3, QQ), counts):
+            # a face reaches the kernel iff its boundary outside the star
+            # is not zero
+            reaching = sum(
+                1
+                for k in range(2, len(levels))
+                for m in levels[k]
+                if any(m ^ 1 << v in levels[k - 1] for v in iter_bits(m))
+            )
+            for field in (GF2, GF3, QQ):
                 expected = full_reduction_dims(complex_, field)
-                # a face reaches the kernel iff its boundary outside the
-                # star is not zero and it leads no reduced row of the map above
-                reaching = 0
-                for k in range(2, len(levels)):
-                    lower = set(levels[k - 1])
-                    above = k + 1 < len(levels)
-                    cleared = leading_faces(levels, k + 1, field) if above else set()
-                    reaching += sum(
-                        1
-                        for m in levels[k]
-                        if m not in cleared and any(m ^ 1 << v in lower for v in iter_bits(m))
-                    )
                 handed.clear()
                 assert dims(complex_, field) == expected
                 assert sum(handed) == reaching == count
