@@ -223,10 +223,10 @@ def analyze_graph(
     involution = idl.alexander_dual(dual)
     add("dual_involution", True, involution == I)
     # I_Gamma is the transversal ideal of Gamma's facet complements: the
-    # involution already built when those are the dual's generators
+    # involution already built when those are the dual's generators (as sets)
     gamma = gamma_complex(G)
-    complements = sorted((G.full_mask ^ f for f in gamma.facets), key=idl.support_sort_key)
-    sr = involution if tuple(complements) == dual.gens else stanley_reisner_ideal(gamma)
+    same = {G.full_mask ^ f for f in gamma.facets} == set(dual.gens)
+    sr = involution if same else stanley_reisner_ideal(gamma)
     add("stanley_reisner_roundtrip", True, sr == I)
     lcm_rows = idl.lcm_graph(I)
     add("lcm_graph_is_line_graph", True, _lcm_graph_matches_line_graph(I, lcm_rows))

@@ -28,8 +28,8 @@ that clearing (skipping each face that leads a reduced row of the map
 above) removed no row on the benchmark inputs or in the oracle at n = 12
 and 14, and so saved nothing.
 
-Faces are generated level by level, each once and each level sorted, and
-only those held by a facet that misses the apex (``_faces_outside_star``).
+Faces outside the star are generated level by level, each level sorted,
+walking down from the facets that miss the apex (``_faces_outside_star``).
 Results are memoized per (facet family, characteristic) in a
 least-recently-used memo of 65,536 entries, whose hits and misses
 ``_dims.cache_info()`` counts.  Per pass of the perfbench workloads (seed
@@ -46,7 +46,7 @@ import functools
 from collections.abc import KeysView
 from dataclasses import dataclass
 
-from .graphs import facet_holders
+from .graphs import facet_holders, iter_bits
 
 
 def _is_prime(p: int) -> bool:
@@ -130,33 +130,33 @@ def _faces_outside_star(facets: tuple[int, ...]) -> list[list[int]]:
     facets: the faces sigma such that no facet holding sigma holds the
     apex.  levels[0] is empty, as the empty face lies in every star.
 
-    Each face is built once, from the face without its top vertex v, and
-    carries the mask of the facets holding it.  A face outside the star
-    lies in a facet that misses the apex, and so do its subsets, so only
-    sets held by such a facet are built: those where one of the facets
-    holding the face without v misses the apex and holds v.  With v
-    outermost, the faces below v are a prefix of the sorted level and give
-    faces between 2^v and 2^(v+1), so each level comes out sorted.
+    The faces outside the star are an upper set inside the facets that
+    miss the apex (a face between such a face and a facet holding it is
+    held by fewer facets), and those facets lie outside the star, as the
+    facets are an antichain.  So the levels are walked down from them: a
+    set one vertex short of a kept face is kept when the facets holding
+    all its vertices miss the apex, tested for every vertex of the face in
+    one pass of running ANDs of the holders from either end.
     """
     holders = facet_holders(facets)
     star = max(reversed(holders), key=int.bit_count)
-    missing = ~star  # the facets that miss the apex
-    # each vertex with the facets holding it, and those of them missing the apex
-    vertices = [(1 << v, h, h & missing) for v, h in enumerate(holders) if h & missing]
-    levels = [[]]
-    masks = [bit for bit, _, _ in vertices]
-    holds = [h for _, h, _ in vertices]
-    while masks:
-        levels.append([m for m, h in zip(masks, holds) if not h & star])
-        grown, grown_holds = [], []
-        for bit, held, held_missing in vertices:
-            for m, h in zip(masks, holds):
-                if m >= bit:
-                    break
-                if h & held_missing:
-                    grown.append(m | bit)
-                    grown_holds.append(h & held)
-        masks, holds = grown, grown_holds
+    tops = [f for i, f in enumerate(facets) if not star >> i & 1]
+    levels = [[] for _ in range(max(map(int.bit_count, tops), default=0) + 1)]
+    kept: list[int] = []
+    for k in range(len(levels) - 1, 0, -1):
+        found = {f for f in tops if f.bit_count() == k}
+        for m in kept:
+            # low[i]: the facets holding the apex and m's i lowest vertices
+            vs = list(iter_bits(m))
+            low = [star]
+            for v in vs:
+                low.append(low[-1] & holders[v])
+            high = -1
+            for i in range(len(vs) - 1, -1, -1):
+                if not low[i] & high:
+                    found.add(m ^ 1 << vs[i])
+                high &= holders[vs[i]]
+        kept = levels[k] = sorted(found)
     return levels
 
 

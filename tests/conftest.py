@@ -1,10 +1,16 @@
 import random
+import sys
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+# appended, not prepended: a PYTHONPATH that names another checkout's src/
+# wins, so this suite can test that checkout
+sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
+
 from helpers import graph_from_mask
-from math import comb
 
 
 @pytest.fixture(autouse=True, scope="session")

@@ -12,9 +12,12 @@ internals.  Likewise ``general_is_componentwise_linear``, the decision
 for any squarefree ideal, runs the library's witness, greedy order and
 Hochster sum; its dimension step, ``has_face_of_size``, grows faces from
 the minimal nonfaces and is the reference for the library's triangle
-test.  ``boundary_matrix`` filters its faces from ``faces_of``, so the
-whole augmented boundary matrices it builds share no face code with the
-homology engine; only their ranks go through the library's kernel.
+test.  ``subset_hochster_betti`` sums Hochster's formula over all 2^n
+vertex sets through the homology engine; it is the reference for the
+library's oracle, which visits the nonfaces alone.  ``boundary_matrix``
+filters its faces from ``faces_of``, so the whole augmented boundary
+matrices it builds share no face code with the homology engine; only
+their ranks go through the library's kernel.
 ``minimalize_supports`` builds ideals from arbitrary families, and
 ``reference_cert_is_valid`` checks a linear-quotient certificate by
 minimalizing every colon, independently of the library's checker.
@@ -39,9 +42,14 @@ from compedge.classify import (
     _verify_into,
     analyze_graph,
 )
-from compedge.complexes import SimplicialComplex, _check_cover_seq, maximal_supports
+from compedge.complexes import (
+    SimplicialComplex,
+    _check_cover_seq,
+    maximal_supports,
+    stanley_reisner_complex,
+)
 from compedge.graphs import Graph, connected_components, iter_bits, vertices_of
-from compedge.homology import GF2, FieldSpec, _pivots
+from compedge.homology import GF2, FieldSpec, _pivots, homology_dims_of_facets
 from compedge.ideals import SqfIdeal, support_sort_key
 
 # ---------------------------------------------------------------- graphs
@@ -442,6 +450,23 @@ def induced_subcomplex(cx: SimplicialComplex, W: int) -> SimplicialComplex:
     return from_facets(cx.n, {f & W for f in cx.facets})
 
 
+def subset_hochster_betti(I: SqfIdeal, field: FieldSpec) -> betti.BettiTable:
+    """Hochster's formula summed over every nonempty vertex set W, faces
+    included: a face restricts to a full simplex, and the homology engine
+    must find it acyclic.  The reference for the library's oracle, which
+    visits the nonfaces only and renames each restriction's vertices."""
+    facets = stanley_reisner_complex(I).facets
+    entries: dict[tuple[int, int], int] = {}
+    for W in range(1, 1 << I.n):
+        restricted = maximal_supports([f & W for f in facets])
+        for k, h in homology_dims_of_facets(restricted, field.characteristic):
+            i = W.bit_count() - 2 - k
+            if i >= 0:
+                key = (i, W.bit_count())
+                entries[key] = entries.get(key, 0) + h
+    return betti.BettiTable(I.n, field, entries)
+
+
 def is_well_ordered_facet_cover(cx: SimplicialComplex, seq, cover_mask=None) -> bool:
     """Minimal vertex-covering facet sequence with the absorption property,
     as ``find_well_ordered_cover`` accepts it, with ``cover_mask`` as there;
@@ -609,8 +634,8 @@ def general_is_componentwise_linear(I, field) -> bool:
     H~_k(Delta(I)_W) = 0 for every W and every k >= j - 1.  The condition
     weakens as j grows, so j = D implies every larger j.
 
-    The components j <= D are decided in turn, and the Hochster sum over
-    all 2^n vertex sets runs only when no exact argument applies:
+    The components j <= D are decided in turn, and the Hochster sum runs
+    only when no exact argument applies:
 
     - Dimension step, j = D: when Delta(I) has no face of size D its
       dimension is at most D - 2, the condition above is vacuous, and

@@ -4,7 +4,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -168,11 +168,11 @@ class TestTorsion:
 
 
 @st.composite
-def squarefree_ideals(draw):
-    """Ideals in 3..7 variables with 2..5 generators of degree 1..4; degree
-    2 is drawn most often, so that both outcomes of the componentwise
-    linearity test are common."""
-    n = draw(st.integers(min_value=3, max_value=7))
+def squarefree_ideals(draw, max_n=7):
+    """Ideals in 3..max_n variables with 2..5 generators of degree 1..4;
+    degree 2 is drawn most often, so that both outcomes of the
+    componentwise linearity test are common."""
+    n = draw(st.integers(min_value=3, max_value=max_n))
     degrees = draw(
         st.lists(st.sampled_from([1, 2, 2, 2, 3, 3, 4]), min_size=2, max_size=5)
     )
@@ -188,6 +188,23 @@ def squarefree_ideals(draw):
         )
         gens.append(sum(1 << v for v in support))
     return SqfIdeal(n, minimalize_supports(gens))
+
+
+class TestOracleReference:
+    """The oracle visits the nonfaces alone; the reference sums Hochster's
+    formula over all 2^n vertex sets, faces included.  With generators of
+    degree 1 and 2 the nonfaces are most of the vertex sets."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(squarefree_ideals(max_n=10))
+    @example(SqfIdeal(10, (0b1,)))
+    @example(SqfIdeal(10, (0b1, 0b110)))
+    @example(SqfIdeal(10, (0b11, 0b1100, 0b110000)))
+    @example(SqfIdeal(10, (0b1, 0b10, 0b100)))
+    def test_nonfaces_alone_give_the_whole_sum(self, I):
+        for field in (GF2, GF3, QQ):
+            expected = helpers.subset_hochster_betti(I, field).entries
+            assert hochster_betti(I, field).entries == expected
 
 
 class TestComponentwiseLinear:

@@ -186,8 +186,8 @@ class TestLatticeBuiltOncePerIdeal:
 
 
 class TestAnalyzeRunsNoHochsterSum:
-    """The dual's componentwise linearity is decided without the 2^n
-    Hochster sum, and every antichain comes from its producer unreduced:
+    """The dual's componentwise linearity is decided without the Hochster
+    sum, and every antichain comes from its producer unreduced:
     each call to the Hochster sum or to a pairwise reduction fails here."""
 
     @pytest.fixture(autouse=True)

@@ -160,7 +160,7 @@ class TestBetti:
     def test_cross_check_above_the_oracle_limit_exits_two(
         self, capsys, monkeypatch, command, seconds
     ):
-        # the 2^n oracle refuses n > 14 at once instead of running for hours
+        # the oracle refuses n > 14 at once, before any table
         monkeypatch.setattr("sys.stdin", io.StringIO(cycle_with_two_chords(62)))
         start = time.perf_counter()
         code = run([command, "-", "--format", "edge-list", "--json", "--cross-check"])
