@@ -35,9 +35,8 @@ least-recently-used memo of 65,536 entries, whose hits and misses
 ``_dims.cache_info()`` counts.  Per pass of the perfbench workloads (seed
 1), the sweep over 5-vertex graphs makes 1,524 calls on 150 distinct keys
 and GF(2) ``analyze`` 271 on 98.  Rational ``betti --cross-check`` makes
-402 on 109, as the Hochster oracle renames the vertices of each
-restriction (203 without), and 30 of its 178 repeats that are neither
-void nor irrelevant come from the same command.
+402 on 203, and each of its 84 repeats that are neither void nor
+irrelevant was first computed by an earlier command.
 """
 
 from __future__ import annotations
@@ -166,8 +165,9 @@ def homology_dims_of_facets(facets, char: int) -> tuple[tuple[int, int], ...]:
     return _dims(tuple(sorted(facets)), char)
 
 
-# far above the 758 keys that the sweeps at n <= 6 over every field, the
-# oracle at n = 12 and 14 and K40's table leave together in one process
+# far above the 826 keys that the sweeps at n <= 6 over every field, the
+# oracle at n = 12 and 14 over GF(2) and QQ and K40's table over GF(2)
+# leave together in one process
 @functools.lru_cache(maxsize=1 << 16)
 def _dims(facets: tuple[int, ...], char: int) -> tuple[tuple[int, int], ...]:
     if not facets:

@@ -131,15 +131,20 @@ def minimal_transversals(supports) -> list[int]:
     set filed under v lies inside t.  The test is the containment test
     itself, restricted to the sets it can fail on, so it is exact.
 
-    The supports go smallest first.  A support multiplies each set that
-    misses it by its size, and small supports leave few sets missing the
-    large ones: the Stanley-Reisner ideal of a G(30, 0.4) graph's complex
-    peaks at 8,705 intermediate sets when its triangles come before its
-    nonedges.  The antichain is returned in the canonical order, so it is
-    a minimal generating set as it stands.
+    The supports go in colex order, by their largest vertex.  Once every
+    support inside [k] has been taken, the family is the set of minimal
+    transversals of those supports alone.  On a graph's dual, whose
+    supports are the nonedges and triangles, these are the complements in
+    [k] of the maximal sets holding neither, the edges of G[k] and its
+    vertices with no edge, so at most m + n sets remain after each
+    vertex's batch.  Smallest first takes every nonedge before any
+    triangle, leaving one set per maximal clique: on G(46, 0.8) plus a
+    path, 7,127 sets against the 819 it ends with.  The antichain is
+    returned in the canonical order, so it is a minimal generating set as
+    it stands.
     """
     found = [0]
-    for s in sorted(supports, key=int.bit_count):
+    for s in sorted(supports, key=int.bit_length):
         kept, miss = [], []
         for t in found:
             (kept if t & s else miss).append(t)

@@ -454,7 +454,7 @@ def subset_hochster_betti(I: SqfIdeal, field: FieldSpec) -> betti.BettiTable:
     """Hochster's formula summed over every nonempty vertex set W, faces
     included: a face restricts to a full simplex, and the homology engine
     must find it acyclic.  The reference for the library's oracle, which
-    visits the nonfaces only and renames each restriction's vertices."""
+    visits the nonfaces only."""
     facets = stanley_reisner_complex(I).facets
     entries: dict[tuple[int, int], int] = {}
     for W in range(1, 1 << I.n):

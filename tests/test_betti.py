@@ -114,30 +114,17 @@ class TestEngineAgreement:
         assert koszul_betti(I, QQ).entries == hochster_betti(I, QQ).entries
 
 
-class TestOracleMemo:
-    """The Hochster oracle renames each restriction's vertices before the
-    memo, so restrictions that are one complex under other names can share
-    a computation."""
+class TestOracleColdMemo:
+    """The Hochster oracle with the homology memo cleared first, so that it
+    reads no entry another engine or test left behind."""
 
-    def test_isomorphic_restrictions_are_computed_once(self, monkeypatch):
-        # the 9-cycle plus chords (1,4) and (2,7): 21 complexes per field
-        # when the restrictions keep their vertex names
+    def test_chorded_nine_cycle_over_every_field(self):
         G = graph(9, *[(i, i + 1) for i in range(1, 9)], (1, 9), (1, 4), (2, 7))
         I = complementary_edge_ideal(G)
-        computed = []
-        compute = homology._compute_dims
-
-        def counting(facets, char):
-            computed.append(facets)
-            return compute(facets, char)
-
-        monkeypatch.setattr(homology, "_compute_dims", counting)
-        homology._dims.cache_clear()
         for field in (GF2, GF3, QQ):
-            computed.clear()
+            homology._dims.cache_clear()
             table = hochster_betti(I, field)
             assert table.entries == {(0, 7): 11, (1, 8): 13, (2, 9): 3}
-            assert len(computed) == 8
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(random_graphs_min_degree_one(4, 9), st.sampled_from([GF2, QQ]))
@@ -564,20 +551,22 @@ class TestPositions:
         # while the Koszul engine gives the free module's table
         I = stanley_reisner_ideal(SimplicialComplex(4, ()))
         assert I == SqfIdeal(4, (0,))
-        with mock.patch.object(betti, "_relabeled", side_effect=AssertionError):
-            with pytest.raises(UnitIdealError) as info:
-                hochster_betti(I, QQ)
+        refuse = mock.patch.object(
+            betti, "homology_dims_of_facets", side_effect=AssertionError
+        )
+        with refuse, pytest.raises(UnitIdealError) as info:
+            hochster_betti(I, QQ)
         assert isinstance(info.value, IdealError)
         assert koszul_betti(I, QQ).entries == {(0, 0): 1}
 
-    def test_oracle_relabels_no_void_restriction(self):
-        real = betti._relabeled
+    def test_oracle_hands_no_void_restriction_to_homology(self):
+        real = betti.homology_dims_of_facets
 
-        def relabeled(facets):
+        def dims(facets, char):
             assert facets, "void restriction"
-            return real(facets)
+            return real(facets, char)
 
-        with mock.patch.object(betti, "_relabeled", side_effect=relabeled) as spy:
+        with mock.patch.object(betti, "homology_dims_of_facets", side_effect=dims) as spy:
             for I in (SqfIdeal(3, (0b001,)), SqfIdeal(4, (0b0011, 0b1100))):
                 hochster_betti(I, GF2)
             for G in iter_graphs(4):

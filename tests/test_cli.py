@@ -22,7 +22,7 @@ from compedge import homology
 from compedge.cli import _dumps, build_parser, run
 from compedge.graphs import parse_graph
 from compedge.ideals import MonomialOrderCert, complementary_edge_ideal
-from helpers import complete, edge_list_text, mask_of, two_tree
+from helpers import complete, edge_list_text, mask_of, random_with_path, two_tree
 
 
 def capture(capsys):
@@ -63,6 +63,22 @@ class TestAnalyze:
         assert code == 0
         assert all(c["match"] for c in doc["consistency"]["claims"].values())
         assert doc["properties"]["componentwise_linear_dual"] is True
+
+    def test_n46_dense_analyze(self, capsys, monkeypatch):
+        # G(46, 0.8) plus the path, 819 edges: with the smallest supports
+        # first, Berge's update on the dual peaked at 7,127 sets, one per
+        # maximal clique, and analyze took about 11 s; in colex order the
+        # peak is 819 and analyze about 1 s (2-core machine, Python 3.11)
+        text = edge_list_text(random_with_path(46, 0.8))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "d8c0c380e039067e"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        start = time.perf_counter()
+        code = run(["analyze", "-", "--format", "edge-list", "--json"])
+        elapsed = time.perf_counter() - start
+        doc = json.loads(capture(capsys)[0])
+        assert code == 0
+        assert all(c["match"] for c in doc["consistency"]["claims"].values())
+        assert elapsed < 5
 
     def test_cross_check(self, capsys):
         assert run(["analyze", "C`", "--json", "--cross-check"]) == 0

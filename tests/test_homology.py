@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compedge import homology
-from compedge.betti import _relabeled
 from compedge.complexes import gamma_complex, stanley_reisner_complex
 from compedge.graphs import connected_components, iter_bits
 from compedge.homology import GF2, GF3, QQ, FieldSpec, homology_dims_of_facets
@@ -506,31 +505,3 @@ class TestFaceLevels:
     def test_levels_are_the_faces_by_size_in_order(self, facets):
         assert homology._faces_outside_star(facets) == outside_star(facets)
 
-
-class TestRelabeling:
-    """The Hochster oracle renames each restriction's vertices before the
-    memo; the rename is a bijection, so homology cannot see it."""
-
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(
-        st.builds(
-            lambda n, picks: from_facets(n, [p % (1 << n) for p in picks]),
-            st.integers(min_value=1, max_value=9),
-            st.lists(st.integers(min_value=1), min_size=1, max_size=8),
-        )
-    )
-    def test_rename_keeps_the_complex(self, complex_):
-        facets = complex_.facets
-        renamed = _relabeled(facets)
-        union = renamed_union = 0
-        for f, g in zip(facets, renamed):
-            union |= f
-            renamed_union |= g
-        assert renamed_union == (1 << union.bit_count()) - 1
-        assert [g.bit_count() for g in renamed] == [f.bit_count() for f in facets]
-        for (a, b), (x, y) in zip(combinations(facets, 2), combinations(renamed, 2)):
-            assert (x & y).bit_count() == (a & b).bit_count()
-        for field in (GF2, GF3, QQ):
-            assert homology_dims_of_facets(
-                renamed, field.characteristic
-            ) == full_reduction_dims(complex_, field)
