@@ -21,16 +21,6 @@ from .ideals import (
 )
 
 
-def maximal_supports(masks) -> tuple[int, ...]:
-    """Inclusion-maximal elements of a family of masks, largest first."""
-    distinct = sorted(set(masks), key=lambda m: -m.bit_count())
-    kept: list[int] = []
-    for m in distinct:
-        if not any(m & ~k == 0 for k in kept):
-            kept.append(m)
-    return tuple(kept)
-
-
 @dataclass(frozen=True, slots=True)
 class SimplicialComplex:
     n: int

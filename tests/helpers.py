@@ -3,18 +3,23 @@ library's test-only routes.
 
 The brute-force oracles are written from first principles (string
 bit-twiddling, subset filters, cofactor determinants) so that agreement
-with the library is evidence, not circularity.  The routes under "library
-routes" are not: ``from_facets``, ``induced_subcomplex``, ``matrix_rank``
-and ``is_well_ordered_facet_cover`` call library internals (the
-maximal-set reduction, the rank kernel, the cover check) and serve as
-fixtures and second constructions, not as independent checks of those
-internals.  Likewise ``general_is_componentwise_linear``, the decision
-for any squarefree ideal, runs the library's witness, greedy order and
-Hochster sum; its dimension step, ``has_face_of_size``, grows faces from
-the minimal nonfaces and is the reference for the library's triangle
-test.  ``subset_hochster_betti`` sums Hochster's formula over all 2^n
-vertex sets through the homology engine; it is the reference for the
-library's oracle, which visits the nonfaces alone.  ``boundary_matrix``
+with the library is evidence, not circularity.  ``maximal_supports``
+reduces a family to its maximal sets by comparing each set with every
+larger one; the library has no such reduction.  The routes under "library
+routes" are not independent: ``matrix_rank`` and
+``is_well_ordered_facet_cover`` call library internals (the rank kernel,
+the cover check), and ``from_facets`` and ``induced_subcomplex`` build the
+library's complexes; they serve as fixtures and second constructions, not
+as independent checks of those internals.  Likewise
+``general_is_componentwise_linear``, the decision for any squarefree
+ideal, runs the library's witness, greedy order and Hochster sum; its
+dimension step, ``has_face_of_size``, grows faces from the minimal
+nonfaces and is the reference for the library's triangle test.
+``subset_hochster_betti`` sums Hochster's formula over all 2^n vertex
+sets through the homology engine, each restriction reduced by
+``maximal_supports``; it is the reference for the library's oracle, which
+visits the nonfaces alone and takes each restriction's facets from its
+parent nonface's.  ``boundary_matrix``
 filters its faces from ``faces_of``, so the whole augmented boundary
 matrices it builds share no face code with the homology engine; only
 their ranks go through the library's kernel.
@@ -45,7 +50,6 @@ from compedge.classify import (
 from compedge.complexes import (
     SimplicialComplex,
     _check_cover_seq,
-    maximal_supports,
     stanley_reisner_complex,
 )
 from compedge.graphs import Graph, connected_components, iter_bits, vertices_of
@@ -345,6 +349,17 @@ def minimalize_supports(masks) -> tuple[int, ...]:
 
 
 # -------------------------------------------------------------- complexes
+
+
+def maximal_supports(masks) -> tuple[int, ...]:
+    """Inclusion-maximal elements of a family of masks, largest first,
+    each kept set compared with every larger one."""
+    distinct = sorted(set(masks), key=lambda m: -m.bit_count())
+    kept: list[int] = []
+    for m in distinct:
+        if not any(m & ~k == 0 for k in kept):
+            kept.append(m)
+    return tuple(kept)
 
 
 def rp2_6():

@@ -28,7 +28,11 @@ from compedge.graphs import (
     iter_bits,
     nonedge_masks,
 )
-from compedge.complexes import SimplicialComplex, stanley_reisner_ideal
+from compedge.complexes import (
+    SimplicialComplex,
+    stanley_reisner_complex,
+    stanley_reisner_ideal,
+)
 from compedge.homology import GF2, GF3, QQ, FieldSpec
 from compedge.ideals import (
     IdealError,
@@ -177,21 +181,45 @@ def squarefree_ideals(draw, max_n=7):
     return SqfIdeal(n, minimalize_supports(gens))
 
 
+def oracle_examples(test):
+    """Ideals whose nonfaces are most of the vertex sets: generators of
+    degree 1 and 2."""
+    for gens in ((0b1,), (0b1, 0b110), (0b11, 0b1100, 0b110000), (0b1, 0b10, 0b100)):
+        test = example(SqfIdeal(10, gens))(test)
+    return test
+
+
 class TestOracleReference:
-    """The oracle visits the nonfaces alone; the reference sums Hochster's
-    formula over all 2^n vertex sets, faces included.  With generators of
-    degree 1 and 2 the nonfaces are most of the vertex sets."""
+    """The oracle visits the nonfaces alone, and takes each restriction's
+    facets from its parent's; the reference sums Hochster's formula over
+    all 2^n vertex sets, faces included, each restriction reduced to its
+    maximal sets directly."""
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(squarefree_ideals(max_n=10))
-    @example(SqfIdeal(10, (0b1,)))
-    @example(SqfIdeal(10, (0b1, 0b110)))
-    @example(SqfIdeal(10, (0b11, 0b1100, 0b110000)))
-    @example(SqfIdeal(10, (0b1, 0b10, 0b100)))
+    @oracle_examples
     def test_nonfaces_alone_give_the_whole_sum(self, I):
         for field in (GF2, GF3, QQ):
             expected = helpers.subset_hochster_betti(I, field).entries
             assert hochster_betti(I, field).entries == expected
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(squarefree_ideals(max_n=10))
+    @oracle_examples
+    def test_restrictions_are_the_maximal_sets_of_each_nonface(self, I):
+        # the memo is keyed by the sorted facets, so equal multisets of keys
+        # mean the same memo hits and misses as the direct restriction
+        facets = stanley_reisner_complex(I).facets
+        expected = Counter(
+            tuple(sorted(helpers.maximal_supports([f & W for f in facets])))
+            for W in range(1, 1 << I.n)
+            if any(g & ~W == 0 for g in I.gens)
+        )
+        real = betti.homology_dims_of_facets
+        with mock.patch.object(betti, "homology_dims_of_facets", side_effect=real) as spy:
+            hochster_betti(I, GF2)
+        handed = Counter(tuple(sorted(c.args[0])) for c in spy.call_args_list)
+        assert handed == expected
 
 
 class TestComponentwiseLinear:

@@ -187,19 +187,15 @@ class TestLatticeBuiltOncePerIdeal:
 
 class TestAnalyzeRunsNoHochsterSum:
     """The dual's componentwise linearity is decided without the Hochster
-    sum, and every antichain comes from its producer unreduced:
-    each call to the Hochster sum or to a pairwise reduction fails here."""
+    sum: each call to it fails here.  The library has no pairwise
+    maximal-set reduction, so every antichain comes from its producer."""
 
     @pytest.fixture(autouse=True)
-    def _refuse_hochster_and_reductions(self, monkeypatch):
-        for module, name in (
-            (betti, "hochster_betti"),
-            (complexes, "maximal_supports"),
-        ):
-            def refuse(*args, name=name):
-                raise AssertionError(f"{name} called")
+    def _refuse_hochster(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("hochster_betti called")
 
-            monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(betti, "hochster_betti", refuse)
 
     def test_every_graph_on_five_vertices(self):
         count = 0

@@ -186,9 +186,20 @@ class TestBetti:
         assert "n <= 14" in err and "n = 62" in err
         assert elapsed < seconds
 
-    def test_cross_check_at_the_oracle_limit(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(cycle_with_two_chords(14)))
-        code = run(["betti", "-", "--format", "edge-list", "--json", "--cross-check"])
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            (cycle_with_two_chords(14), "2"),
+            # the heaviest graph at the limit: 106 nonfaces, 364 facets
+            (edge_list_text(complete(14)), "q"),
+        ],
+        ids=["cycle14-gf2", "K14-qq"],
+    )
+    def test_cross_check_at_the_oracle_limit(self, capsys, monkeypatch, text, field):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code = run(
+            ["betti", "-", "--format", "edge-list", "--field", field, "--json", "--cross-check"]
+        )
         assert code == 0
         assert json.loads(capture(capsys)[0])["oracle_matches"] is True
 
