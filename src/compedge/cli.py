@@ -16,7 +16,8 @@ import sys
 from . import classify as cf
 from . import ideals as idl
 from .betti import check_oracle_size, hochster_betti, koszul_betti
-from .graphs import GraphError, connected_components, emit_graph, parse_graph, vertices_of
+from .graphs import GraphError, ParseError, connected_components, emit_graph, parse_graph
+from .graphs import vertices_of
 from .homology import GF2, GF3, QQ, FieldSpec
 
 ANALYSIS_SCHEMA = "compedge/analysis/1"
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_MISMATCH = 3
+INPUT_MAX_CHARS = 1 << 20  # 100 times K62's edge list: an endless stdin stops here
 
 
 class _UsageError(Exception):
@@ -76,7 +78,9 @@ def build_parser() -> _Parser:
 
 
 def _load_graph(args):
-    text = sys.stdin.read() if args.graph == "-" else args.graph
+    text = sys.stdin.read(INPUT_MAX_CHARS + 1) if args.graph == "-" else args.graph
+    if len(text) > INPUT_MAX_CHARS:
+        raise ParseError(f"input exceeds {INPUT_MAX_CHARS} characters", INPUT_MAX_CHARS)
     return parse_graph(text, args.format)
 
 

@@ -606,6 +606,26 @@ class TestPositions:
         with pytest.raises(OracleTooLargeError, match="n <= 14; got n = 15"):
             hochster_betti(I, GF2)
 
+    @pytest.mark.parametrize(
+        "G, count",
+        [
+            # the 14-cycle plus the chords (1, 7) and (2, 10): 16 edges
+            (graph(14, *cycle(14).edges(), (1, 7), (2, 10)), 31),
+            (complete(14), 106),
+        ],
+        ids=["cycle14", "K14"],
+    )
+    def test_oracle_restricts_each_nonface_once_at_the_limit(self, G, count):
+        # the reference sums over all 2^n sets only up to n = 10; here the
+        # walk must hand homology one restriction per nonface: [n], the n
+        # sets [n] - v and the m generators
+        I = complementary_edge_ideal(G)
+        assert count == 1 + G.n + len(G.edges())
+        real = betti.homology_dims_of_facets
+        with mock.patch.object(betti, "homology_dims_of_facets", side_effect=real) as spy:
+            hochster_betti(I, QQ)
+        assert spy.call_count == count
+
 
 def _ring_properties_gf2(I):
     return ring_properties(koszul_betti(I, GF2), alexander_dual(I))

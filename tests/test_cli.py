@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import compedge
 from compedge import homology
-from compedge.cli import _dumps, build_parser, run
+from compedge.cli import INPUT_MAX_CHARS, _dumps, build_parser, run
 from compedge.graphs import parse_graph
 from compedge.ideals import MonomialOrderCert, complementary_edge_ideal
 from helpers import complete, edge_list_text, mask_of, random_with_path, two_tree
@@ -53,6 +53,26 @@ class TestAnalyze:
         out, _ = capture(capsys)
         assert "linear_resolution=True" in out
         assert "pd=1" in out
+
+    def test_endless_stdin_exits_two(self, capsys, monkeypatch):
+        class Endless:
+            def read(self, size=-1):
+                if size is None or size < 0:
+                    raise AssertionError("read to EOF from an endless stream")
+                return "y" * size
+
+        monkeypatch.setattr("sys.stdin", Endless())
+        assert run(["analyze", "-", "--format", "edge-list"]) == 2
+        out, err = capture(capsys)
+        assert out == "" and f"input exceeds {INPUT_MAX_CHARS} characters" in err
+
+    @pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)], ids=["at-cap", "one-over"])
+    def test_stdin_cap(self, capsys, monkeypatch, extra, code):
+        # blank lines are skipped, so the padding changes only the length
+        text = "4\n1 2\n2 3\n3 4"
+        text += "\n" * (INPUT_MAX_CHARS + extra - len(text))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run(["analyze", "-", "--format", "edge-list"]) == code
 
     def test_n62_two_tree_analyze(self, capsys, monkeypatch):
         # chordal at the size limit: the dual's linearity is decided by an
