@@ -146,10 +146,6 @@ class ConsistencyResult:
         return dict(self.__dict__)
 
 
-def _expected_dual_supports(G: Graph) -> list[int]:
-    return sorted(g.nonedge_masks(G) + g.triangles(G), key=idl.support_sort_key)
-
-
 def _lcm_graph_matches_line_graph(I: idl.SqfIdeal, adj: tuple[int, ...]) -> bool:
     """Whether ``adj`` holds the line graph's rows: generator k is adjacent
     to the generators whose edges (the complements) meet edge k."""
@@ -215,7 +211,8 @@ def analyze_graph(
             "match": predicted == computed,
         }
 
-    add("minimal_primes", _masks_json(_expected_dual_supports(G)), _masks_json(dual.gens))
+    predicted_primes = g.nonedge_masks(G) + g.triangles(G)  # the canonical order
+    add("minimal_primes", _masks_json(predicted_primes), _masks_json(dual.gens))
     add("height", 3 if cls.complete else 2, min(p.bit_count() for p in dual.gens))
     add("unmixed", cls.unmixed, props.unmixed)
     # the dual's generators are the minimal primes: one comparison, two names
@@ -223,9 +220,9 @@ def analyze_graph(
     involution = idl.alexander_dual(dual)
     add("dual_involution", True, involution == I)
     # I_Gamma is the transversal ideal of Gamma's facet complements: the
-    # involution already built when those are the dual's generators (as sets)
+    # involution already built when those are the dual's generators
     gamma = gamma_complex(G)
-    same = {G.full_mask ^ f for f in gamma.facets} == set(dual.gens)
+    same = idl.complements(G.full_mask, gamma.facets) == dual.gens
     sr = involution if same else stanley_reisner_ideal(gamma)
     add("stanley_reisner_roundtrip", True, sr == I)
     lcm_rows = idl.lcm_graph(I)

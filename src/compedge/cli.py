@@ -80,7 +80,8 @@ def build_parser() -> _Parser:
 def _load_graph(args):
     text = sys.stdin.read(INPUT_MAX_CHARS + 1) if args.graph == "-" else args.graph
     if len(text) > INPUT_MAX_CHARS:
-        raise ParseError(f"input exceeds {INPUT_MAX_CHARS} characters", INPUT_MAX_CHARS)
+        kept = text[:INPUT_MAX_CHARS]
+        raise ParseError(f"input exceeds {INPUT_MAX_CHARS} characters", kept)
     return parse_graph(text, args.format)
 
 

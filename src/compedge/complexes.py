@@ -15,9 +15,9 @@ from .graphs import Graph, nonedge_masks, triangles, validate_standing_assumptio
 from .ideals import (
     SqfIdeal,
     complementary_edge_ideal,
+    complements,
     minimal_primes,
     minimal_transversals,
-    support_sort_key,
 )
 
 
@@ -53,10 +53,9 @@ def gamma_complex(G: Graph) -> SimplicialComplex:
     """
     validate_standing_assumptions(G)
     full = G.full_mask
-    # Already an antichain, so no reduction is needed: a nonedge lies in no
-    # triangle, and distinct sets of one size never contain each other.
-    facets = [full ^ m for m in nonedge_masks(G) + triangles(G)]
-    return SimplicialComplex(G.n, tuple(sorted(facets, key=support_sort_key)))
+    # An antichain (a nonedge lies in no triangle, and sets of one size never
+    # nest), listed nonedges then triangles, each in lex order: canonical.
+    return SimplicialComplex(G.n, complements(full, nonedge_masks(G) + triangles(G)))
 
 
 def facet_complex(G: Graph) -> SimplicialComplex:
@@ -80,13 +79,11 @@ def stanley_reisner_ideal(cx: SimplicialComplex) -> SqfIdeal:
 def stanley_reisner_complex(I: SqfIdeal) -> SimplicialComplex:
     """Faces are the squarefree monomials outside I; facets complement the
     minimal primes."""
-    if I.is_zero:
-        full_simplex = (1 << I.n) - 1
-        return SimplicialComplex(I.n, (full_simplex,))
     full = (1 << I.n) - 1
-    # complements of an antichain are an antichain, so they are only sorted
-    facets = sorted((full ^ p for p in minimal_primes(I)), key=support_sort_key)
-    return SimplicialComplex(I.n, tuple(facets))
+    if I.is_zero:
+        return SimplicialComplex(I.n, (full,))
+    # complements of a canonically sorted antichain are one, reversed
+    return SimplicialComplex(I.n, complements(full, minimal_primes(I)))
 
 
 def induced_subcollection(cx: SimplicialComplex, W: int) -> SimplicialComplex:

@@ -19,11 +19,11 @@ class GraphError(Exception):
 
 
 class ParseError(GraphError):
-    """Malformed textual input; ``offset`` is the byte position of the fault."""
+    """Malformed textual input; ``offset`` is the UTF-8 byte position of the fault."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
+    def __init__(self, message: str, before: str):
+        self.offset = len(before.encode("utf-8", "replace"))  # an undecoded byte is one
+        super().__init__(f"{message} (byte offset {self.offset})")
 
 
 class ValidationError(GraphError):
@@ -155,34 +155,34 @@ def _column_pairs(n: int) -> list[tuple[int, int]]:
 def _decode_graph6(text: str) -> Graph:
     data = text.rstrip("\r\n")
     if not data:
-        raise ParseError("empty graph6 input", 0)
+        raise ParseError("empty graph6 input", "")
     head = ord(data[0])
     if head == 126:
-        raise ParseError("multi-byte graph6 sizes (n > 62) are unsupported", 0)
+        raise ParseError("multi-byte graph6 sizes (n > 62) are unsupported", "")
     if not 63 <= head <= 125:
-        raise ParseError(f"invalid graph6 size byte {data[0]!r}", 0)
+        raise ParseError(f"invalid graph6 size byte {data[0]!r}", "")
     n = head - 63
     if n == 0:
-        raise ParseError("graph6 encodes zero vertices", 0)
+        raise ParseError("graph6 encodes zero vertices", "")
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) < 1 + nbytes:
-        raise ParseError("truncated graph6 body", len(data))
+        raise ParseError("truncated graph6 body", data)
     if len(data) > 1 + nbytes:
-        raise ParseError("trailing bytes after graph6 body", 1 + nbytes)
+        raise ParseError("trailing bytes after graph6 body", data[: 1 + nbytes])
     pairs = _column_pairs(n)
     adj = [0] * n
     bitpos = 0
     for idx in range(nbytes):
         byte = ord(data[1 + idx])
         if not 63 <= byte <= 126:
-            raise ParseError(f"invalid graph6 data byte {data[1 + idx]!r}", 1 + idx)
+            raise ParseError(f"invalid graph6 data byte {data[1 + idx]!r}", data[: 1 + idx])
         val = byte - 63
         for shift in range(5, -1, -1):
             bit = val >> shift & 1
             if bitpos >= nbits:
                 if bit:
-                    raise ParseError("nonzero padding bits", 1 + idx)
+                    raise ParseError("nonzero padding bits", data[: 1 + idx])
             elif bit:
                 i, j = pairs[bitpos]
                 adj[i] |= 1 << j
@@ -209,7 +209,7 @@ def emit_graph(G: Graph) -> str:
 
 
 def _decode_edge_list(text: str) -> Graph:
-    offset = 0
+    at = 0  # characters before the line
     n = None
     edges = []
     for line in text.splitlines(keepends=True):
@@ -218,28 +218,28 @@ def _decode_edge_list(text: str) -> Graph:
             tokens = stripped.split()
             if n is None:
                 if len(tokens) != 1 or not tokens[0].isdigit():
-                    raise ParseError("header line must be a single vertex count", offset)
+                    raise ParseError("header line must be a single vertex count", text[:at])
                 try:
                     n = int(tokens[0])
                 except ValueError:  # a digit int() rejects, such as "³"
-                    raise ParseError("header vertex count is not a number", offset)
+                    raise ParseError("header vertex count is not a number", text[:at])
                 if not 1 <= n <= MAX_VERTICES:
                     raise ValidationError(f"vertex count {n} outside 1..{MAX_VERTICES}")
             else:
                 if len(tokens) != 2:
-                    raise ParseError("edge line must be two vertex numbers", offset)
+                    raise ParseError("edge line must be two vertex numbers", text[:at])
                 try:
                     i, j = int(tokens[0]), int(tokens[1])
                 except ValueError:
-                    raise ParseError("edge line must be two vertex numbers", offset)
+                    raise ParseError("edge line must be two vertex numbers", text[:at])
                 if i == j:
                     raise ValidationError(f"loop at vertex {i}")
                 if not (1 <= i < j <= n):
                     raise ValidationError(f"edge {i} {j} must satisfy 1 <= i < j <= {n}")
                 edges.append((i, j))
-        offset += len(line)
+        at += len(line)
     if n is None:
-        raise ParseError("missing header line", 0)
+        raise ParseError("missing header line", "")
     return Graph.from_edges(n, edges)
 
 

@@ -3,8 +3,9 @@
 A squarefree monomial is stored as the bitmask of its support; an ideal is
 its minimal generating set of such masks, kept as an inclusion antichain
 sorted by degree and then lexicographically on the variables, so that
-equal ideals compare equal structurally.  Producers here yield that form
-directly.
+equal ideals compare equal structurally.  Only Berge's algorithm sorts into
+that order; every other producer complements a family already in it and
+reverses it (``complements``).
 
 The central constructions here: the ideal with one degree n-2 generator
 per graph edge (each generator is the product of all variables except the
@@ -92,25 +93,29 @@ class SqfIdeal:
     def degrees(self) -> set[int]:
         return {g.bit_count() for g in self.gens}
 
-    def is_equigenerated(self) -> bool:
-        return len(self.degrees()) == 1
-
     def generator_strings(self) -> list[str]:
         return [monomial_str(g) for g in self.gens]
+
+
+def complements(full: int, masks) -> tuple[int, ...]:
+    """The complements in ``full`` of a canonically sorted family, in the
+    canonical order.  Complementing reverses the degree order, and within
+    one degree it reverses the lex order: the least vertex where two sets
+    differ lies in the lex-smaller set and so in the other's complement."""
+    return tuple(full ^ m for m in reversed(masks))
 
 
 def complementary_edge_ideal(G: Graph) -> SqfIdeal:
     """One generator per edge: all variables except the edge's endpoints.
     Distinct supports of one size are already an antichain, so they are
-    only sorted, not minimalized."""
+    only ordered, not minimalized."""
     validate_standing_assumptions(G)
-    full = G.full_mask
-    supports = []
+    edges = []
     for i in range(G.n):
         row = G.adj[i] >> (i + 1)
         for j in iter_bits(row):
-            supports.append(full ^ (1 << i) ^ (1 << (i + j + 1)))
-    return SqfIdeal(G.n, tuple(sorted(supports, key=support_sort_key)))
+            edges.append(1 << i | 1 << (i + j + 1))
+    return SqfIdeal(G.n, complements(G.full_mask, edges))
 
 
 def minimal_transversals(supports) -> list[int]:
@@ -192,7 +197,7 @@ def _generator_degree(I: SqfIdeal, what: str) -> int:
     """The generators' one degree, or a typed error saying why not."""
     if I.is_zero:
         raise ZeroIdealError(f"{what} of the zero ideal is undefined")
-    if not I.is_equigenerated():
+    if len(I.degrees()) != 1:
         raise NotEquigeneratedError(f"generators span degrees {sorted(I.degrees())}")
     return I.gens[0].bit_count()
 

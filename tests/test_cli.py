@@ -74,6 +74,12 @@ class TestAnalyze:
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert run(["analyze", "-", "--format", "edge-list"]) == code
 
+    def test_stdin_cap_offset_counts_bytes(self, capsys, monkeypatch):
+        # "é" is two bytes in UTF-8: the cap falls after 2 * INPUT_MAX_CHARS bytes
+        monkeypatch.setattr("sys.stdin", io.StringIO("é" * (INPUT_MAX_CHARS + 1)))
+        assert run(["analyze", "-", "--format", "edge-list"]) == 2
+        assert f"(byte offset {2 * INPUT_MAX_CHARS})" in capture(capsys)[1]
+
     def test_n62_two_tree_analyze(self, capsys, monkeypatch):
         # chordal at the size limit: the dual's linearity is decided by an
         # elimination certificate, not by a greedy order or a 2^n sum

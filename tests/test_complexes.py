@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compedge.classify import _graph_classes, graph_from_edge_mask
 from compedge.complexes import (
     facet_complex,
     find_well_ordered_cover,
@@ -12,9 +13,9 @@ from compedge.complexes import (
     stanley_reisner_complex,
     stanley_reisner_ideal,
 )
-from compedge.graphs import triangles, vertices_of
+from compedge.graphs import nonedge_masks, triangles, vertices_of
 from compedge.homology import GF2, homology_dims_of_facets
-from compedge.ideals import complementary_edge_ideal
+from compedge.ideals import complementary_edge_ideal, minimal_primes, support_sort_key
 from conftest import random_graphs_min_degree_one
 from helpers import (
     brute_find_well_ordered_cover,
@@ -28,8 +29,10 @@ from helpers import (
     mask_of,
     path,
     p3_union_k2,
+    random_with_path,
     star4,
     two_k2,
+    two_tree,
 )
 
 
@@ -65,6 +68,40 @@ class TestGamma:
         if not triangles(G):
             nonedges = G.n * (G.n - 1) // 2 - G.edge_count()
             assert len(gamma_complex(G).facets) == nonedges
+
+
+def _class_representatives():
+    for n in range(4, 7):
+        for least, _ in _graph_classes(n):
+            yield graph_from_edge_mask(n, least)
+
+
+def _seeded_graphs():
+    yield two_tree(62)
+    for seed, n in enumerate([8, 13, 21, 34, 62]):
+        yield random_with_path(n, 0.1 + seed / 10, seed)
+
+
+class TestComplementedProducers:
+    """The producers that complement a canonically sorted family and reverse
+    it give what sorting the complements with the canonical key gives."""
+
+    @staticmethod
+    def keyed(full, masks):
+        return tuple(sorted((full ^ m for m in masks), key=support_sort_key))
+
+    @pytest.mark.parametrize(
+        "graphs", [_class_representatives, _seeded_graphs], ids=["classes-4-6", "seeded"]
+    )
+    def test_match_the_keyed_sort(self, graphs):
+        for G in graphs():
+            full = G.full_mask
+            I = complementary_edge_ideal(G)
+            assert I.gens == self.keyed(full, map(mask_of, G.edges()))
+            assert gamma_complex(G).facets == self.keyed(
+                full, nonedge_masks(G) + triangles(G)
+            )
+            assert stanley_reisner_complex(I).facets == self.keyed(full, minimal_primes(I))
 
 
 class TestStanleyReisner:

@@ -84,6 +84,13 @@ class TestParsing:
             parse_graph("4\n1 2 3", "edge-list")
         assert exc.value.offset == 2
 
+    def test_edge_list_offset_counts_bytes(self):
+        # the header is the Arabic-Indic digit four, two bytes in UTF-8
+        with pytest.raises(ParseError) as exc:
+            parse_graph("\u0664\n1 2\nx\n", "edge-list")
+        assert exc.value.offset == 7
+        assert str(exc.value).endswith("(byte offset 7)")
+
     def test_graph6_known_string(self):
         G = parse_graph("C`")
         assert G.edges() == [(1, 2), (3, 4)]
@@ -101,6 +108,13 @@ class TestParsing:
         with pytest.raises(ParseError) as exc:
             parse_graph("C`C")
         assert exc.value.offset == 2
+
+    @pytest.mark.parametrize("text", ["E\u00e9", "C\u00e9x"], ids=["truncated", "trailing"])
+    def test_graph6_offset_counts_bytes(self, text):
+        # "\u00e9" is two bytes in UTF-8; both faults sit after "E\u00e9"/"C\u00e9"
+        with pytest.raises(ParseError) as exc:
+            parse_graph(text)
+        assert exc.value.offset == 3
 
     def test_graph6_bad_byte(self):
         with pytest.raises(ParseError):

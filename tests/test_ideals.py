@@ -15,6 +15,7 @@ from compedge.ideals import (
     ZeroIdealError,
     alexander_dual,
     complementary_edge_ideal,
+    complements,
     height,
     is_linearly_related,
     lcm_graph,
@@ -107,6 +108,15 @@ class TestCanonicalOrder:
     def test_matches_first_principles_order(self, masks):
         assert sorted(masks, key=support_sort_key) == sorted(
             masks, key=brute_canonical_key
+        )
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 62), _masks_below_2_62())
+    def test_complements_of_a_sorted_family_are_sorted(self, n, masks):
+        full = (1 << n) - 1
+        family = sorted({m & full for m in masks}, key=support_sort_key)
+        assert complements(full, family) == tuple(
+            sorted((full ^ m for m in family), key=support_sort_key)
         )
 
 
