@@ -30,6 +30,9 @@ and 14, and so saved nothing.
 
 Faces outside the star are generated level by level, each level sorted,
 walking down from the facets that miss the apex (``_faces_outside_star``).
+It stops at an empty level below which none of those facets lies, as
+every lower level is then empty, and a level that is empty or lies on an
+empty one gives no boundary map to reduce.
 Results are memoized per (facet family, characteristic) in a
 least-recently-used memo of 65,536 entries, whose hits and misses
 ``_dims.cache_info()`` counts.  Per pass of the perfbench workloads (seed
@@ -135,15 +138,19 @@ def _faces_outside_star(facets: tuple[int, ...]) -> list[list[int]]:
     facets are an antichain.  So the levels are walked down from them: a
     set one vertex short of a kept face is kept when the facets holding
     all its vertices miss the apex, tested for every vertex of the face in
-    one pass of running ANDs of the holders from either end.
+    one pass of running ANDs of the holders from either end.  Those facets
+    are placed in their levels first; once a level comes out empty and no
+    smaller one is left, every level below is empty and the walk stops.
     """
     holders = facet_holders(facets)
     star = max(reversed(holders), key=int.bit_count)
     tops = [f for i, f in enumerate(facets) if not star >> i & 1]
     levels = [[] for _ in range(max(map(int.bit_count, tops), default=0) + 1)]
+    for f in tops:
+        levels[f.bit_count()].append(f)
     kept: list[int] = []
     for k in range(len(levels) - 1, 0, -1):
-        found = {f for f in tops if f.bit_count() == k}
+        found = set(levels[k])
         for m in kept:
             # low[i]: the facets holding the apex and m's i lowest vertices
             vs = list(iter_bits(m))
@@ -156,6 +163,8 @@ def _faces_outside_star(facets: tuple[int, ...]) -> list[list[int]]:
                     found.add(m ^ 1 << vs[i])
                 high &= holders[vs[i]]
         kept = levels[k] = sorted(found)
+        if not kept and not any(levels[:k]):
+            break
     return levels
 
 
@@ -184,6 +193,8 @@ def _compute_dims(facets: tuple[int, ...], char: int) -> tuple[tuple[int, int], 
     # vertices; a vertex's boundary, the empty face, lies in the star
     ranks = [0] * (top + 2)
     for k in range(2, top + 1):
+        if not levels[k] or not levels[k - 1]:
+            continue
         lower_index = {m: i for i, m in enumerate(levels[k - 1])}
         rows = []
         for m in levels[k]:

@@ -183,8 +183,18 @@ def squarefree_ideals(draw, max_n=7):
 
 def oracle_examples(test):
     """Ideals whose nonfaces are most of the vertex sets: generators of
-    degree 1 and 2."""
-    for gens in ((0b1,), (0b1, 0b110), (0b11, 0b1100, 0b110000), (0b1, 0b10, 0b100)):
+    degree 1 and 2.  Disjoint pairs and triples give large minimal primes,
+    so the walk tests its holes both by looking up their subsets and by
+    scanning: five pairs give 32 primes of size 5, three triples 27 of size
+    3."""
+    for gens in (
+        (0b1,),
+        (0b1, 0b110),
+        (0b11, 0b1100, 0b110000),
+        (0b1, 0b10, 0b100),
+        (0b11, 0b1100, 0b110000, 0b11000000, 0b1100000000),
+        (0b111, 0b111000, 0b111000000),
+    ):
         test = example(SqfIdeal(10, gens))(test)
     return test
 
@@ -220,6 +230,22 @@ class TestOracleReference:
             hochster_betti(I, GF2)
         handed = Counter(tuple(sorted(c.args[0])) for c in spy.call_args_list)
         assert handed == expected
+
+
+class TestHoldingNone:
+    """The walk's containment test against brute force."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=255), max_size=12),
+        st.lists(st.integers(min_value=0, max_value=255), max_size=40),
+    )
+    # one family whose small sets are looked up and whose large ones are
+    # scanned: 2^1 and 2^2 subsets against three sets, 2^8 against three
+    @example([0b1, 0b11, 0b11111111, 0b10], [0b10, 0b100, 0b1000])
+    def test_keeps_the_sets_that_hold_none(self, family, sets):
+        expected = [h for h in family if not any(s & ~h == 0 for s in sets)]
+        assert betti._holding_none(family, sets) == expected
 
 
 class TestComponentwiseLinear:
@@ -625,6 +651,29 @@ class TestPositions:
         with mock.patch.object(betti, "homology_dims_of_facets", side_effect=real) as spy:
             hochster_betti(I, QQ)
         assert spy.call_count == count
+
+    @pytest.mark.parametrize(
+        "G",
+        [graph(14, *cycle(14).edges(), (1, 7), (2, 10)), complete(14)],
+        ids=["cycle14", "K14"],
+    )
+    def test_restrictions_at_the_limit_are_the_maximal_sets_of_each_nonface(self, G):
+        # the memo keys the sum over 2^n sets pins only up to n = 10: the
+        # facets handed for each nonface are the maximal sets of its
+        # restriction of the Stanley-Reisner complex
+        I = complementary_edge_ideal(G)
+        full = (1 << G.n) - 1
+        facets = stanley_reisner_complex(I).facets
+        nonfaces = [full, *(full ^ 1 << v for v in range(G.n)), *I.gens]
+        expected = Counter(
+            tuple(sorted(helpers.maximal_supports([f & W for f in facets])))
+            for W in nonfaces
+        )
+        real = betti.homology_dims_of_facets
+        with mock.patch.object(betti, "homology_dims_of_facets", side_effect=real) as spy:
+            hochster_betti(I, QQ)
+        handed = Counter(tuple(sorted(c.args[0])) for c in spy.call_args_list)
+        assert handed == expected
 
 
 def _ring_properties_gf2(I):

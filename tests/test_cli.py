@@ -663,8 +663,10 @@ def test_import_loads_neither_fractions_nor_multiprocessing():
         "import sys, compedge, compedge.cli; "
         "print([m for m in ('fractions', 'multiprocessing') if m in sys.modules])"
     )
+    # -B: the child writes no bytecode into the checkout, as its env holds
+    # no PYTHONDONTWRITEBYTECODE
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-B", "-c", code],
         capture_output=True,
         text=True,
         check=True,

@@ -502,6 +502,11 @@ class TestFaceLevels:
         # the irrelevant complex has no vertex to be the apex
         ).filter(lambda facets: facets != (0,))
     )
+    # the facets that miss the apex 9 have sizes 4 and 2, and every 3-set
+    # of the larger lies in the star, so level 3 is empty between levels 4
+    # and 2: the walk must not stop there
+    @example(cx(9, [1, 2, 3, 4], [1, 2, 3, 9], [1, 2, 4, 9], [1, 3, 4, 9],
+                [2, 3, 4, 9], [5, 6], [5, 9]).facets)
     def test_levels_are_the_faces_by_size_in_order(self, facets):
         assert homology._faces_outside_star(facets) == outside_star(facets)
 
