@@ -31,7 +31,6 @@ from .complexes import (
     find_well_ordered_cover,
     gamma_complex,
     induced_subcollection,
-    stanley_reisner_complex,
     stanley_reisner_ideal,
 )
 from .graphs import (

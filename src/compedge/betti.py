@@ -233,38 +233,6 @@ def _has_triangle_face(adj, gens) -> bool:
     return any(t not in gens for t in iter_triangles(adj))
 
 
-def _nonlinear_witness(adj, field: FieldSpec) -> bool:
-    """A chordless cycle W of length >= 4 in the graph H with adjacency
-    rows ``adj``, confirmed by H~_1(Delta_W) != 0, where Delta is the
-    clique complex of H: the complex of the ideal of H's nonedges.
-
-    For each induced path a - v - b in H, a shortest a - b path avoiding
-    the other neighbours of v closes a chordless cycle; H is chordal iff
-    no such path exists.  W spans no triangle of H (checked), so the
-    edges of H inside W are all of Delta_W above the vertices.
-    """
-    for v in range(len(adj)):
-        around = adj[v]
-        for a in iter_bits(around):
-            # b > a, so each induced path is tried once
-            for b in iter_bits(around & ~adj[a] & -(2 << a)):
-                allowed = ~(around | 1 << v) | 1 << a | 1 << b
-                path = _shortest_path(adj, a, b, allowed)
-                if path:
-                    W = path | 1 << v
-                    edges = [
-                        (x, y)
-                        for x in iter_bits(W)
-                        for y in iter_bits(W & adj[x] & -(2 << x))
-                    ]
-                    if any(adj[x] & adj[y] & W for x, y in edges):
-                        return False  # not chordless: edges miss faces of Delta_W
-                    facets = [1 << x | 1 << y for x, y in edges]
-                    dims = homology_dims_of_facets(facets, field.characteristic)
-                    return any(k >= 1 for k, _ in dims)
-    return False
-
-
 def _shortest_path(adj, a: int, b: int, allowed: int) -> int:
     """Vertex mask of a shortest a - b path inside ``allowed``; 0 if none."""
     parent = {a: a}
@@ -287,41 +255,83 @@ def _shortest_path(adj, a: int, b: int, allowed: int) -> int:
     return path
 
 
-def _elimination_certificate(adj) -> MonomialOrderCert | None:
-    """Linear quotients of the ideal of the nonedges of the graph with rows
-    ``adj``, the nonedges taken in lexicographic order of their perfect
-    elimination positions; None when a step fails.
+def _elimination_walk(adj) -> MonomialOrderCert | tuple[int, int, int]:
+    """Linear quotients of the ideal of the nonedges of the graph H with
+    rows ``adj``, the nonedges taken in lexicographic order of their
+    perfect elimination positions; at the first step that shows the order
+    is not perfect, the vertices (c, a, b) of an induced path a - c - b of
+    H instead.
 
-    At the step of {a, b}, with P the graph of the earlier nonedges and V
-    the P-neighbours of a or b, the colon is generated by variables iff
-    no edge of P lies outside V | {a, b}, and then V generates it.  On a
-    chordal graph no step fails: for an earlier {c, d} missing {a, b},
-    with c eliminated first, c is not adjacent to both a and b (its later
-    neighbours are a clique), so {c, a} or {c, b} came earlier.
+    At the step of {a, b}, a eliminated first, with P the graph of the
+    earlier nonedges and V the P-neighbours of a or b, the colon is
+    generated by variables iff no edge of P lies outside V | {a, b}, and
+    then V generates it.  Such an edge was placed at the turn of its
+    endpoint c eliminated first, before a's turn, when the pairs {c, a}
+    and {c, b} were taken too; c is not in V, so they were not nonedges,
+    and c is adjacent to a and b.  So a step passes when no common
+    neighbour of a and b was eliminated before a, and the walk stops at
+    the first step that has one, c: c's later neighbours are no clique,
+    so the order is not a perfect elimination ordering and H is not
+    chordal.
     """
-    full = (1 << len(adj)) - 1
     elim = elimination_order(adj)
     placed = [0] * len(adj)  # rows of P
+    done = 0  # the vertices eliminated before a
     order: list[int] = []
     steps: list[int] = []
     for i, a in enumerate(elim):
         for b in elim[i + 1:]:
             if adj[a] >> b & 1:
                 continue
-            variables = placed[a] | placed[b]
-            outside = full & ~(variables | 1 << a | 1 << b)
-            if any(placed[x] & outside for x in iter_bits(outside)):
-                return None
+            common = adj[a] & adj[b] & done
+            if common:
+                return (common & -common).bit_length() - 1, a, b
             order.append(1 << a | 1 << b)
-            steps.append(variables)
+            steps.append(placed[a] | placed[b])
             placed[a] |= 1 << b
             placed[b] |= 1 << a
+        done |= 1 << a
     return MonomialOrderCert(tuple(order), tuple(steps))
 
 
+def _chordless_cycle(adj, c: int, a: int, b: int, field: FieldSpec) -> bool:
+    """Whether the induced path a - c - b of the graph H with rows ``adj``
+    closes a chordless cycle W, confirmed by H~_1(Delta_W) != 0, where
+    Delta is the clique complex of H: the complex of the ideal of H's
+    nonedges.
+
+    W is c and a shortest a - b path avoiding c's other neighbours, one
+    search.  W spans no triangle of H (checked), so the edges of H inside
+    W are all of Delta_W above the vertices.
+    """
+    path = _shortest_path(adj, a, b, ~(adj[c] | 1 << c) | 1 << a | 1 << b)
+    if not path:
+        return False
+    W = path | 1 << c
+    edges = [(x, y) for x in iter_bits(W) for y in iter_bits(W & adj[x] & -(2 << x))]
+    if any(adj[x] & adj[y] & W for x, y in edges):
+        return False  # not chordless: edges miss faces of Delta_W
+    facets = [1 << x | 1 << y for x, y in edges]
+    dims = homology_dims_of_facets(facets, field.characteristic)
+    return any(k >= 1 for k, _ in dims)
+
+
 class NotAGraphDualError(IdealError):
-    """An ideal outside the shape of a graph's dual, or one that neither
-    the witness nor the certificate decided (impossible in that shape)."""
+    """An ideal outside the shape of a graph's dual, or a graph whose walk
+    stopped at a step that closes no chordless cycle (never seen, on every
+    labeled graph with n <= 7 and on random ones up to n = 62)."""
+
+
+def _nonedge_ideal_is_linear(adj, field: FieldSpec) -> bool:
+    """Whether the ideal of H's nonedges, H with rows ``adj``, has a linear
+    resolution, iff H is chordal (Froberg 1990): the walk's certificate
+    proves it, the chordless cycle from the step where it stops refutes it."""
+    walk = _elimination_walk(adj)
+    if isinstance(walk, MonomialOrderCert):
+        return True
+    if _chordless_cycle(adj, *walk, field):
+        return False
+    raise NotAGraphDualError("neither a chordless cycle nor an elimination certificate")
 
 
 def dual_is_componentwise_linear(dual: SqfIdeal, field: FieldSpec) -> bool:
@@ -338,10 +348,12 @@ def dual_is_componentwise_linear(dual: SqfIdeal, field: FieldSpec) -> bool:
     H~_k(Delta(J)_W) = 0 for all W and k >= j - 1: true in dimension 1.
     So J is componentwise linear iff its quadratic part J_[2] has a
     linear resolution, iff H is chordal (Froberg, "On Stanley-Reisner
-    rings", 1990).  A chordless cycle of H is the witness against, its
-    H~_1 computed; the elimination certificate's linear quotients are
-    the proof for, over every field (Herzog-Takayama, "Resolutions by
-    mapping cones", 2002).  No step sums over vertex subsets.
+    rings", 1990).  After the dimension step, one elimination walk
+    decides it: its linear quotients are the proof for, over every field
+    (Herzog-Takayama, "Resolutions by mapping cones", 2002), and the
+    step where it stops names an induced path a - c - b whose shortest
+    closing path makes the chordless cycle against, its H~_1 computed.
+    No step sums over vertex subsets, and at most one searches for a path.
     """
     gens = set(dual.gens)
     vertices = range(dual.n)
@@ -349,11 +361,7 @@ def dual_is_componentwise_linear(dual: SqfIdeal, field: FieldSpec) -> bool:
            for v in vertices]  # rows of H
     if not dual.degrees() <= {2, 3} or _has_triangle_face(adj, gens):
         raise NotAGraphDualError("the dual has a face of size 3 or a degree outside 2..3")
-    if _nonlinear_witness(adj, field):
-        return False
-    if _elimination_certificate(adj) is not None:
-        return True
-    raise NotAGraphDualError("neither a chordless cycle nor an elimination certificate")
+    return _nonedge_ideal_is_linear(adj, field)
 
 
 def is_gorenstein(table: BettiTable, height: int) -> bool:

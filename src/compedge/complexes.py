@@ -16,7 +16,6 @@ from .ideals import (
     SqfIdeal,
     complementary_edge_ideal,
     complements,
-    minimal_primes,
     minimal_transversals,
 )
 
@@ -74,16 +73,6 @@ def stanley_reisner_ideal(cx: SimplicialComplex) -> SqfIdeal:
     full = (1 << cx.n) - 1
     # minimal_transversals returns a canonically sorted antichain
     return SqfIdeal(cx.n, tuple(minimal_transversals(full ^ f for f in cx.facets)))
-
-
-def stanley_reisner_complex(I: SqfIdeal) -> SimplicialComplex:
-    """Faces are the squarefree monomials outside I; facets complement the
-    minimal primes."""
-    full = (1 << I.n) - 1
-    if I.is_zero:
-        return SimplicialComplex(I.n, (full,))
-    # complements of a canonically sorted antichain are one, reversed
-    return SimplicialComplex(I.n, complements(full, minimal_primes(I)))
 
 
 def induced_subcollection(cx: SimplicialComplex, W: int) -> SimplicialComplex:

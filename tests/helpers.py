@@ -8,13 +8,15 @@ reduces a family to its maximal sets by comparing each set with every
 larger one; the library has no such reduction.  The routes under "library
 routes" are not independent: ``matrix_rank`` and
 ``is_well_ordered_facet_cover`` call library internals (the rank kernel,
-the cover check), and ``from_facets`` and ``induced_subcomplex`` build the
+the cover check), and ``from_facets``, ``stanley_reisner_complex`` (from
+the library's minimal primes) and ``induced_subcomplex`` build the
 library's complexes; they serve as fixtures and second constructions, not
 as independent checks of those internals.  Likewise
 ``general_is_componentwise_linear``, the decision for any squarefree
-ideal, runs the library's witness, greedy order and Hochster sum; its
-dimension step, ``has_face_of_size``, grows faces from the minimal
-nonfaces and is the reference for the library's triangle test.
+ideal, runs the library's elimination walk and witness, greedy order and
+Hochster sum; its dimension step, ``has_face_of_size``, grows faces from
+the minimal nonfaces and is the reference for the library's triangle
+test.
 ``subset_hochster_betti`` sums Hochster's formula over all 2^n vertex
 sets through the homology engine, each restriction reduced by
 ``maximal_supports``; it is the reference for the library's oracle, which
@@ -47,14 +49,10 @@ from compedge.classify import (
     _verify_into,
     analyze_graph,
 )
-from compedge.complexes import (
-    SimplicialComplex,
-    _check_cover_seq,
-    stanley_reisner_complex,
-)
+from compedge.complexes import SimplicialComplex, _check_cover_seq
 from compedge.graphs import Graph, connected_components, iter_bits, vertices_of
 from compedge.homology import GF2, FieldSpec, _pivots, homology_dims_of_facets
-from compedge.ideals import SqfIdeal, support_sort_key
+from compedge.ideals import SqfIdeal, complements, minimal_primes, support_sort_key
 
 # ---------------------------------------------------------------- graphs
 
@@ -458,6 +456,16 @@ def from_facets(n: int, masks) -> SimplicialComplex:
     return SimplicialComplex(n, tuple(facets))
 
 
+def stanley_reisner_complex(I: SqfIdeal) -> SimplicialComplex:
+    """Faces are the squarefree monomials outside I; facets complement the
+    minimal primes."""
+    full = (1 << I.n) - 1
+    if I.is_zero:
+        return SimplicialComplex(I.n, (full,))
+    # complements of a canonically sorted antichain are one, reversed
+    return SimplicialComplex(I.n, complements(full, minimal_primes(I)))
+
+
 def induced_subcomplex(cx: SimplicialComplex, W: int) -> SimplicialComplex:
     """Faces of the complex contained in W (the void complex for W = 0)."""
     if W == 0:
@@ -636,7 +644,8 @@ def has_face_of_size(I: SqfIdeal, size: int) -> bool:
 def general_is_componentwise_linear(I, field) -> bool:
     """Every degree component I_[j] of any squarefree ideal has a linear
     resolution: the general decision, a library route through the
-    dimension step, the witness, the greedy order and the Hochster sum.
+    dimension step, the elimination walk and its witness, the greedy order
+    and the Hochster sum.
     They are looked up on their modules at each call (the dimension step,
     ``has_face_of_size``, on this one), so a test can count them;
     ``has_linear_resolution`` keeps its own ``hochster_betti``.
@@ -655,9 +664,11 @@ def general_is_componentwise_linear(I, field) -> bool:
     - Dimension step, j = D: when Delta(I) has no face of size D its
       dimension is at most D - 2, the condition above is vacuous, and
       I_[D] is never built.
-    - Witness, j = 2: a chordless cycle of length >= 4 in the complement
-      of the generator graph, its homology computed (Froberg 1990).
-    - Certificate, any j: a greedy order with linear quotients
+    - Walk, j = 2: I_[2] is the ideal of the nonedges of the complement
+      H of the generator graph, linear iff H is chordal (Froberg 1990);
+      the library's elimination walk certifies it, or the step where it
+      stops gives the chordless cycle, its homology computed.
+    - Certificate, any other j: a greedy order with linear quotients
       (Herzog-Takayama 2002).
     - Fallback: the linear strand of the Hochster table of I_[j].
     """
@@ -668,11 +679,12 @@ def general_is_componentwise_linear(I, field) -> bool:
         comp = degree_component(I, j)
         if comp.is_zero:
             continue
-        if j == 2 and betti._nonlinear_witness(complement_rows(comp), field):
-            return False
-        if ideals.linear_quotient_order(comp) is not None:
-            continue
-        if any(b != a + j for a, b in betti.hochster_betti(comp, field).entries):
+        if j == 2:
+            if not betti._nonedge_ideal_is_linear(complement_rows(comp), field):
+                return False
+        elif ideals.linear_quotient_order(comp) is None and any(
+            b != a + j for a, b in betti.hochster_betti(comp, field).entries
+        ):
             return False
     return True
 

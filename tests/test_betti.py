@@ -1,6 +1,8 @@
 """Betti tables: the two engines, fixed points, and derived properties."""
 
+import random
 from collections import Counter
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -13,7 +15,8 @@ from compedge.betti import (
     BettiTable,
     NotAGraphDualError,
     OracleTooLargeError,
-    _elimination_certificate,
+    _chordless_cycle,
+    _elimination_walk,
     betti_positions_check,
     dual_is_componentwise_linear,
     hochster_betti,
@@ -30,12 +33,12 @@ from compedge.graphs import (
 )
 from compedge.complexes import (
     SimplicialComplex,
-    stanley_reisner_complex,
     stanley_reisner_ideal,
 )
 from compedge.homology import GF2, GF3, QQ, FieldSpec
 from compedge.ideals import (
     IdealError,
+    MonomialOrderCert,
     SqfIdeal,
     UnitIdealError,
     ZeroIdealError,
@@ -45,6 +48,7 @@ from compedge.ideals import (
 from conftest import random_graphs_min_degree_one
 from helpers import (
     all_graphs,
+    brute_is_chordal,
     brute_is_componentwise_linear,
     complete,
     cycle,
@@ -61,6 +65,7 @@ from helpers import (
     paw,
     p3_union_k2,
     rp2_6,
+    stanley_reisner_complex,
     two_k2,
 )
 
@@ -345,39 +350,109 @@ def chordal_graphs(draw):
     return Graph(n, tuple(rows))
 
 
+@st.composite
+def relabeled_graphs(draw):
+    """G(n, p) or a 2-tree on 4..62 vertices under a random labeling,
+    which the maximum cardinality search behind the walk depends on."""
+    n = draw(st.integers(min_value=4, max_value=62))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    if draw(st.booleans()):
+        G = helpers.two_tree(n, seed)
+    else:
+        p = draw(st.sampled_from([0.05, 0.2, 0.5, 0.8, 0.95]))
+        rng = random.Random(seed)
+        G = graph(n, *[e for e in combinations(range(1, n + 1), 2) if rng.random() < p])
+    relabel = draw(st.permutations(range(n)))
+    rows = [0] * n
+    for v in range(n):
+        for u in iter_bits(G.adj[v]):
+            rows[relabel[v]] |= 1 << relabel[u]
+    return Graph(n, tuple(rows))
+
+
+def check_walk(G, chordal):
+    """The elimination walk on G returns a valid certificate iff G is
+    ``chordal``, and otherwise an induced path a - c - b whose chordless
+    cycle is confirmed."""
+    adj = list(G.adj)
+    walk = _elimination_walk(adj)
+    if chordal:
+        assert isinstance(walk, MonomialOrderCert)
+        assert walk.is_valid_for(nonedge_ideal(G))
+    else:
+        c, a, b = walk
+        assert adj[c] >> a & 1 and adj[c] >> b & 1 and not adj[a] >> b & 1
+        assert _chordless_cycle(adj, c, a, b, GF2)
+    return walk
+
+
 class TestEliminationCertificate:
-    """The linear quotients of a graph's nonedges from its perfect
-    elimination order, checked colon by colon against the definition."""
+    """The elimination walk: the linear quotients of a graph's nonedges
+    from its perfect elimination order, checked colon by colon against
+    the definition, or the chordless cycle named by the step where the
+    walk stops.  On the classes, chordality is decided by subset search."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_valid_on_every_chordal_class(self, n):
         for least, _ in _graph_classes(n):
             G = graph_from_edge_mask(n, least)
-            cert = _elimination_certificate(list(G.adj))
-            if is_chordal(G):
-                assert cert is not None and cert.is_valid_for(nonedge_ideal(G))
-            else:
-                assert cert is None
+            if brute_is_chordal(G):
+                check_walk(G, True)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_every_other_class_names_a_chordless_cycle(self, n):
+        for least, _ in _graph_classes(n):
+            G = graph_from_edge_mask(n, least)
+            if not brute_is_chordal(G):
+                check_walk(G, False)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(chordal_graphs())
     def test_valid_on_random_chordal_graphs(self, G):
         assert is_chordal(G)
-        cert = _elimination_certificate(list(G.adj))
-        assert cert is not None and cert.is_valid_for(nonedge_ideal(G))
+        check_walk(G, True)
+
+    def test_relabeled_random_graphs(self):
+        seen = set()
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(relabeled_graphs())
+        def walk(G):
+            chordal = is_chordal(G)
+            check_walk(G, chordal)
+            seen.add((chordal, G.n > 40))
+
+        walk()
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
     def test_two_tree_at_thirty(self):
         G = helpers.two_tree(30)
-        cert = _elimination_certificate(list(G.adj))
+        cert = _elimination_walk(list(G.adj))
         assert len(cert.order) == 30 * 29 // 2 - G.edge_count()
         assert cert.is_valid_for(nonedge_ideal(G))
 
     def test_two_tree_at_sixty_two(self):
         # 1,770 nonedges: the checker is linear in each step's prefix
         G = helpers.two_tree(62)
-        cert = _elimination_certificate(list(G.adj))
+        cert = _elimination_walk(list(G.adj))
         assert len(cert.order) == 62 * 61 // 2 - G.edge_count() == 1770
         assert cert.is_valid_for(nonedge_ideal(G))
+
+    @pytest.mark.parametrize(
+        "G,searches", [(helpers.two_tree(62), 0), (cycle(62), 1)], ids=["two_tree62", "cycle62"]
+    )
+    def test_a_decision_searches_for_at_most_one_path(self, monkeypatch, G, searches):
+        calls = Counter()
+        search = betti._shortest_path
+
+        def counted(*args):
+            calls["_shortest_path"] += 1
+            return search(*args)
+
+        monkeypatch.setattr(betti, "_shortest_path", counted)
+        dual = alexander_dual(complementary_edge_ideal(G))
+        assert dual_is_componentwise_linear(dual, GF2) is is_chordal(G)
+        assert calls["_shortest_path"] == searches
 
 
 @st.composite
@@ -416,13 +491,14 @@ def degree_two_three_ideals(draw):
 @pytest.fixture
 def decisions(monkeypatch):
     """Count what each step decided.  Production: the dimension step (no
-    triangle of H outside the generators, so no face of size 3), a
-    confirmed witness, an elimination certificate.  The general decision
-    in helpers adds its own dimension step (no face of the top degree's
-    size, from the minimal nonfaces), the greedy certificate, the
-    Hochster fallback and the degree components it builds; its
-    ``has_linear_resolution`` binds its own hochster_betti, so those
-    calls are not counted."""
+    triangle of H outside the generators, so no face of size 3), an
+    elimination walk that ends in a certificate, a confirmed witness from
+    the step where the walk stops.  The general decision in helpers runs
+    the same walk and witness at j = 2 and adds its own dimension step
+    (no face of the top degree's size, from the minimal nonfaces), the
+    greedy certificate, the Hochster fallback and the degree components
+    it builds; its ``has_linear_resolution`` binds its own hochster_betti,
+    so those calls are not counted."""
     counts = Counter()
 
     def counting(module, name, decided):
@@ -438,8 +514,8 @@ def decisions(monkeypatch):
 
     counting(betti, "_has_triangle_face", lambda found: not found)
     counting(helpers, "has_face_of_size", lambda found: not found)
-    counting(betti, "_nonlinear_witness", bool)
-    counting(betti, "_elimination_certificate", lambda cert: cert is not None)
+    counting(betti, "_elimination_walk", lambda walk: isinstance(walk, MonomialOrderCert))
+    counting(betti, "_chordless_cycle", bool)
     counting(ideals, "linear_quotient_order", lambda cert: cert is not None)
     counting(betti, "hochster_betti", lambda table: True)
     counting(helpers, "degree_component", lambda comp: True)
@@ -453,7 +529,7 @@ class TestDecisionPaths:
     def test_c4_dual_is_refuted_by_a_witness(self, decisions):
         dual = alexander_dual(complementary_edge_ideal(cycle(4)))
         assert not dual_is_componentwise_linear(dual, GF2)
-        assert decisions == {"_has_triangle_face": 1, "_nonlinear_witness": 1}
+        assert decisions == {"_has_triangle_face": 1, "_chordless_cycle": 1}
         assert not has_linear_resolution(degree_component(dual, 2), GF2)
 
     def test_paw_dual_needs_a_certificate_and_the_dimension_step(self, decisions):
@@ -462,7 +538,7 @@ class TestDecisionPaths:
         dual = alexander_dual(complementary_edge_ideal(paw()))
         assert dual.degrees() == {2, 3}
         assert dual_is_componentwise_linear(dual, GF2)
-        assert decisions == {"_has_triangle_face": 1, "_elimination_certificate": 1}
+        assert decisions == {"_has_triangle_face": 1, "_elimination_walk": 1}
         assert has_linear_resolution(degree_component(dual, 3), GF2)
 
     def test_projective_plane_dual_falls_back_to_hochster(self, decisions):
@@ -494,7 +570,8 @@ class TestDecisionPaths:
 
         quadratic()
         mixed()
-        for step in ("_nonlinear_witness", "linear_quotient_order", "hochster_betti"):
+        steps = ("_elimination_walk", "_chordless_cycle", "linear_quotient_order", "hochster_betti")
+        for step in steps:
             assert decisions[step] > 0, step
 
 
@@ -565,7 +642,12 @@ class TestOutsideTheGraphShape:
         assert seen == {False, True}
 
     def test_neither_witness_nor_certificate(self, monkeypatch):
-        monkeypatch.setattr(betti, "_elimination_certificate", lambda adj: None)
+        # the paw is chordal, yet the walk is made to stop at {4, 1}: 4 - 3 - 1
+        # is an induced path, and no 4 - 1 path avoids 3 and its neighbour 2
+        c, a, b = 2, 3, 0
+        adj = paw().adj
+        assert adj[c] >> a & 1 and adj[c] >> b & 1 and not adj[a] >> b & 1
+        monkeypatch.setattr(betti, "_elimination_walk", lambda adj: (c, a, b))
         dual = alexander_dual(complementary_edge_ideal(paw()))
         with pytest.raises(NotAGraphDualError, match="neither"):
             dual_is_componentwise_linear(dual, GF2)

@@ -643,8 +643,8 @@ def test_package_exports_what_the_entry_points_use():
         "height", "hochster_betti", "induced_subcollection", "is_chordal",
         "is_linearly_related", "koszul_betti", "lcm_graph",
         "linear_quotient_order", "minimal_primes", "multigraded_koszul_betti",
-        "parse_graph", "ring_properties", "stanley_reisner_complex",
-        "stanley_reisner_ideal", "sweep", "triangles",
+        "parse_graph", "ring_properties", "stanley_reisner_ideal", "sweep",
+        "triangles",
         "validate_standing_assumptions",
     }
     public = {

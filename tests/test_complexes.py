@@ -10,7 +10,6 @@ from compedge.complexes import (
     find_well_ordered_cover,
     gamma_complex,
     induced_subcollection,
-    stanley_reisner_complex,
     stanley_reisner_ideal,
 )
 from compedge.graphs import nonedge_masks, triangles, vertices_of
@@ -30,6 +29,7 @@ from helpers import (
     path,
     p3_union_k2,
     random_with_path,
+    stanley_reisner_complex,
     star4,
     two_k2,
     two_tree,

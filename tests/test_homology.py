@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compedge import homology
-from compedge.complexes import gamma_complex, stanley_reisner_complex
+from compedge.complexes import gamma_complex
 from compedge.graphs import connected_components, iter_bits
 from compedge.homology import GF2, GF3, QQ, FieldSpec, homology_dims_of_facets
 from compedge.ideals import complementary_edge_ideal
@@ -26,6 +26,7 @@ from helpers import (
     mask_of,
     matrix_rank,
     rp2_6,
+    stanley_reisner_complex,
     two_k2,
 )
 
